@@ -249,6 +249,8 @@ def abelian_limit(k, s_list, series=None):
     zeta(2)...zeta(k); an explicit series prefix is evaluated instead
     when given.
     """
+    if k < 1:
+        raise PreconditionError("rank k must be >= 1")
     svals = [float(s) for s in s_list]
     if any(s <= k for s in svals):
         raise PreconditionError("s must stay in the convergence region s > k")

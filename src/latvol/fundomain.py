@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .lattice import LatticeBasis, greedy_basis, short_coefficient_vectors
-from .linalg import det_int, ext_gcd, inverse_fraction, mat_mul, vec_gcd
+from .linalg import det_int, ext_gcd, mat_mul, vec_gcd
 
 
 class ReduceResult(NamedTuple):
@@ -115,8 +115,10 @@ def _lagrange(b1, b2):
 
 
 def _k2_candidates(b1, b2, d, R2):
-    """Yield (a, tr, M, gamma') over all M = (b1 b2) gamma', det gamma' = 1,
-    |M|_F^2 <= R2.  (b1, b2) must be Lagrange-reduced with det +d."""
+    """Yield (a, tr, x, y, al0, be0, t) over all M = (b1 b2) gamma',
+    det gamma' = 1, |M|_F^2 <= R2, where gamma' = ((x, al0 + t x),
+    (y, be0 + t y)) and (a, tr) = (|M|_F^2, tr M); `_k2_member` builds
+    (M, gamma').  (b1, b2) must be Lagrange-reduced with det +d."""
     n1 = _dot2(b1, b1)
     n2 = _dot2(b2, b2)
     m = _dot2(b1, b2)
@@ -146,13 +148,19 @@ def _k2_candidates(b1, b2, d, R2):
             if disc2 < 0:
                 continue
             s2 = isqrt(disc2)
+            # tr M = u_0 + w_1 is linear in t
+            tr0 = x * b1[0] + y * b2[0] + al0 * b1[1] + be0 * b2[1]
+            trt = x * b1[1] + y * b2[1]
             for t in range(_ceil_div(-qc - s2, q1), _floor_div(-qc + s2, q1) + 1):
-                al, be = al0 + t * x, be0 + t * y
-                qw = q1 * t * t + 2 * qc * t + q0
-                ucol = (x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])
-                wcol = (al * b1[0] + be * b2[0], al * b1[1] + be * b2[1])
-                M = ((ucol[0], wcol[0]), (ucol[1], wcol[1]))
-                yield q1 + qw, ucol[0] + wcol[1], M, ((x, al), (y, be))
+                yield q1 + q1 * t * t + 2 * qc * t + q0, tr0 + trt * t, x, y, al0, be0, t
+
+
+def _k2_member(b1, b2, x, y, al0, be0, t):
+    """(M, gamma') for one candidate of `_k2_candidates`."""
+    al, be = al0 + t * x, be0 + t * y
+    ucol = (x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])
+    wcol = (al * b1[0] + be * b2[0], al * b1[1] + be * b2[1])
+    return ((ucol[0], wcol[0]), (ucol[1], wcol[1])), ((x, al), (y, be))
 
 
 def _columns(rows):
@@ -165,44 +173,44 @@ def _rows_from_columns(cols):
     return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
 
 
-def _change_of_basis(rows, red_cols):
-    """Integer U with A U = B_red; requires det B_red = det A."""
-    inv = inverse_fraction(rows)
-    if inv is None:
-        raise PreconditionError("matrix is singular")
-    brows = _rows_from_columns(red_cols)
-    u_frac = mat_mul(inv, brows)
+def _adjugate(rows):
+    """adj(A) = det(A) A^(-1) for k = 2, 3; for k = 3 its rows are the
+    cross products of A's columns."""
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        return ((e, -b), (-c, a))
+    c0, c1, c2 = _columns(rows)
+    return (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
+
+
+def _change_of_basis(rows, d, red_cols):
+    """Integer U = adj(A) B_red / d with A U = B_red; requires det B_red = d."""
     U = []
-    for row in u_frac:
+    for row in mat_mul(_adjugate(rows), _rows_from_columns(red_cols)):
         out = []
         for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
+            q, r = divmod(x, d)
+            if r:
                 raise InvariantError("reduced basis left the column lattice")
-            out.append(f.numerator)
+            out.append(q)
         U.append(tuple(out))
     return tuple(U)
 
 
-def _finish(rows, best, red_cols):
+def _finish(rows, d, best, red_cols):
     a, b, M, gp = min(best, key=lambda c: c[2])
-    U = _change_of_basis(rows, red_cols)
+    U = _change_of_basis(rows, d, red_cols)
     gamma = mat_mul(U, gp)
     if det_int(gamma) != 1 or mat_mul(rows, gamma) != M:
         raise InvariantError("reduction produced an inconsistent witness")
     return ReduceResult(gamma=gamma, rep=M)
 
 
-def _collect(best, cand, d, k):
-    if not best:
-        best.append(cand)
-        return
-    c = _cmp_keys(cand[0], cand[1], best[0][0], best[0][1], d, k)
+def _keep(best, c, cand):
+    """Record cand, whose key compared c <= 0 against the kept ones."""
     if c < 0:
         best.clear()
-        best.append(cand)
-    elif c == 0:
-        best.append(cand)
+    best.append(cand)
 
 
 def _reduce_k2(rows):
@@ -226,9 +234,11 @@ def _reduce_k2(rows):
     # any minimizer M satisfies |M|_F <= sqrt(a0) + 2 sqrt(2) d^(1/2)
     R2 = a0 + 8 * d + 4 * (isqrt(2 * a0 * d) + 1)
     best = []
-    for cand in _k2_candidates(b1, b2, d, R2):
-        _collect(best, cand, d, 2)
-    return _finish(rows, best, [b1, b2])
+    for a, tr, *line in _k2_candidates(b1, b2, d, R2):
+        c = _cmp_keys(a, tr, best[0][0], best[0][1], d, 2) if best else -1
+        if c <= 0:
+            _keep(best, c, (a, tr, *_k2_member(b1, b2, *line)))
+    return _finish(rows, d, best, [b1, b2])
 
 
 def _cross(u, v):
@@ -239,8 +249,12 @@ def _cross(u, v):
     )
 
 
-def _bilin(G, u, v):
-    return sum(u[i] * G[i][j] * v[j] for i in range(3) for j in range(3))
+def _dot3(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _mat_vec3(A, v):
+    return (_dot3(A[0], v), _dot3(A[1], v), _dot3(A[2], v))
 
 
 def _reduce_k3(rows, budget):
@@ -277,21 +291,23 @@ def _reduce_k3(rows, budget):
         raise InvariantError("integer lattice with fractional minimum")
     lam1 = lam1.numerator
     LB = LatticeBasis(vecs)
-    G = LB.gram
-    G = tuple(tuple(int(x) for x in row) for row in G)
+    G = tuple(tuple(int(x) for x in row) for row in LB.gram)
+    # row j of the basis matrix: M_jj = c_j . e_j for M = (vecs) (c1 c2 c3)
+    e = _rows_from_columns(vecs)
     cap1 = R2 - 2 * lam1
+    # per primitive short vector: c, |c|^2, G c and c . e_j for j = 0, 1, 2
     cands = [
-        (tuple(c), int(n))
+        (c, int(n), _mat_vec3(G, c), _mat_vec3(e, c))
         for c, n in short_coefficient_vectors(LB, Fraction(cap1))
         if vec_gcd(c) == 1
     ]
-    cands.sort(key=lambda cn: cn[1])
+    cands.sort(key=lambda cand: cand[1])
     ops = 0
     best = []
-    for c1, n1c in cands:
+    for c1, n1c, Gc1, ec1 in cands:
         if n1c > cap1:
             break
-        for c2, n2c in cands:
+        for c2, n2c, Gc2, ec2 in cands:
             if n1c + n2c + lam1 > R2:
                 break
             ops += 1
@@ -306,10 +322,10 @@ def _reduce_k3(rows, budget):
                 continue
             y0 = (cc * aa, cc * bb, dd)
             rem3 = R2 - n1c - n2c
-            q12 = _bilin(G, c1, c2)
-            p1 = _bilin(G, y0, c1)
-            p2 = _bilin(G, y0, c2)
-            p0 = _bilin(G, y0, y0)
+            q12 = _dot3(c1, Gc2)
+            p1 = _dot3(y0, Gc1)
+            p2 = _dot3(y0, Gc2)
+            p0 = _dot3(y0, _mat_vec3(G, y0))
             A2 = n1c * n2c - q12 * q12
             B2 = p1 * q12 - n1c * p2
             C2 = p1 * p1 - n1c * p0 + n1c * rem3
@@ -317,6 +333,9 @@ def _reduce_k3(rows, budget):
             if disc22 < 0:
                 continue
             s22 = isqrt(disc22)
+            # tr M = ec1[0] + ec2[1] + w . e_2 with w = y0 + t1 c1 + t2 c2
+            tr12 = ec1[0] + ec2[1] + _dot3(y0, e[2])
+            a12 = n1c + n2c
             for t2 in range(_ceil_div(B2 - s22, A2), _floor_div(B2 + s22, A2) + 1):
                 ops += 1
                 if ops > budget:
@@ -324,24 +343,23 @@ def _reduce_k3(rows, budget):
                         f"k = 3 reduction exceeded budget {budget}"
                     )
                 cen = p1 + q12 * t2
-                disc1 = cen * cen - n1c * (p0 + 2 * p2 * t2 + n2c * t2 * t2 - rem3)
+                base3 = p0 + 2 * p2 * t2 + n2c * t2 * t2
+                disc1 = cen * cen - n1c * (base3 - rem3)
                 if disc1 < 0:
                     continue
                 s1 = isqrt(disc1)
+                tr2 = tr12 + t2 * ec2[2]
+                # the t1 range is exact: every w in it has q3 = |w|_G^2 <= rem3
                 for t1 in range(_ceil_div(-cen - s1, n1c), _floor_div(-cen + s1, n1c) + 1):
-                    w = tuple(y0[i] + t1 * c1[i] + t2 * c2[i] for i in range(3))
-                    q3 = _bilin(G, w, w)
-                    if q3 > rem3:
+                    a = a12 + base3 + t1 * (2 * cen + n1c * t1)
+                    tr = tr2 + t1 * ec1[2]
+                    c = _cmp_keys(a, tr, best[0][0], best[0][1], d, 3) if best else -1
+                    if c > 0:
                         continue
-                    cols3 = [
-                        tuple(sum(c[j] * vecs[j][i] for j in range(3)) for i in range(3))
-                        for c in (c1, c2, w)
-                    ]
-                    M = _rows_from_columns(cols3)
-                    tr = sum(cols3[i][i] for i in range(3))
+                    w = tuple(y0[i] + t1 * c1[i] + t2 * c2[i] for i in range(3))
                     gp = _rows_from_columns([c1, c2, w])
-                    _collect(best, (n1c + n2c + q3, tr, M, gp), d, 3)
-    return _finish(rows, best, vecs)
+                    _keep(best, c, (a, tr, mat_mul(e, gp), gp))
+    return _finish(rows, d, best, vecs)
 
 
 def reduce_to_F(A, k3_budget=None):
@@ -363,6 +381,8 @@ def reduce_to_F(A, k3_budget=None):
     if k == 3:
         if k3_budget is None:
             raise PreconditionError("k = 3 reduction needs an explicit k3_budget")
+        if k3_budget < 0:
+            raise PreconditionError("k3_budget must be >= 0")
         return _reduce_k3(rows, k3_budget)
     raise PreconditionError("reduction is implemented for k <= 3")
 
@@ -398,4 +418,4 @@ def _members_in_ball(A, cap):
     b1, b2 = _lagrange(cols[0], cols[1])
     if b1[0] * b2[1] - b1[1] * b2[0] < 0:
         b2 = (-b2[0], -b2[1])
-    return sorted({M for _, _, M, _ in _k2_candidates(b1, b2, d, cap)})
+    return sorted({_k2_member(b1, b2, *c[2:])[0] for c in _k2_candidates(b1, b2, d, cap)})

@@ -8,7 +8,6 @@ distinct values of floor(T/n), which makes the threshold counts usable
 at T = 10^5 and beyond.
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -158,8 +157,8 @@ def _int64_safe(k, T):
 def count_sublattices(k, T):
     """Number of sublattices of Z^k with index at most T, exact.
 
-    Uses the int64 kernel when LATVOL_BACKEND allows it and the easy
-    bound count <= T^k proves the arithmetic cannot overflow; otherwise
+    Uses the int64 kernel when kernels.backend() resolves to numba and the
+    easy bound count <= T^k proves the arithmetic cannot overflow; otherwise
     falls back to arbitrary-precision integers, so overflow is excluded
     structurally rather than detected after the fact.
     """
@@ -167,14 +166,13 @@ def count_sublattices(k, T):
         raise PreconditionError("rank must be >= 1")
     if T < 1:
         raise PreconditionError("threshold must be >= 1")
-    b = os.environ.get("LATVOL_BACKEND", "numba")
-    if b not in ("numba", "numpy", "python"):
-        raise PreconditionError(f"unknown backend {b!r}")
-    if _int64_safe(k, T) and b == "numba":
-        from . import kernels
+    # imported at call time: perfbench/tracer.py wraps each kernels function
+    # that another module holds as a kernel whose first argument is a size,
+    # and backend() takes no argument
+    from .kernels import backend, count_dp
 
-        if kernels.HAVE_NUMBA:
-            return int(kernels.count_dp(k, T))
+    if backend() == "numba" and _int64_safe(k, T):
+        return int(count_dp(k, T))
     return _count_exact(k, T, {})
 
 

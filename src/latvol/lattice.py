@@ -2,15 +2,16 @@
 
 Lattices are free abelian groups of rank k given by a rational basis in
 an ambient rational space of dimension >= k, with the standard inner
-product.  All stored quantities are squared and exact (Fractions);
-square roots appear only in display helpers.  Quotient lattices are
+product.  All stored quantities are squared and exact (Fractions, and
+the scaled integer Gram minors the enumeration runs on); square roots
+appear only in display helpers.  Quotient lattices are
 realized by exact orthogonal projection, which is why the ambient
 dimension may exceed the rank.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
 
 from .errors import InvariantError, PreconditionError
 from .linalg import (
@@ -22,18 +23,24 @@ from .linalg import (
     gram_matrix,
     identity_int,
     inverse_fraction,
-    ldlt,
-    ceil_sub_sqrt,
-    floor_add_sqrt,
+    ldl_fraction_free,
     solve_fraction,
     vec_gcd,
 )
 
 
 class LatticeBasis:
-    """Basis of a rank-k lattice with cached exact Gram matrix."""
+    """Basis of a rank-k lattice with cached exact Gram matrix.
 
-    __slots__ = ("rank", "ambient", "vectors", "gram", "_ldlt")
+    `_fp` caches the integer data of the Fincke-Pohst enumeration: with
+    s the lcm of the Gram denominators, the scaled Gram matrix s G has
+    leading minors D_i and fraction-free L D L^T rows U, and the norm of
+    coefficients x is sum_i (U x)_i^2 / (D_i D_(i+1)) / s.  Over the
+    common denominator W = lcm_i D_i D_(i+1) that is sum_i w_i (U x)_i^2
+    / (s W) with integer weights w_i = W / (D_i D_(i+1)).
+    """
+
+    __slots__ = ("rank", "ambient", "vectors", "gram", "_fp")
 
     def __init__(self, vectors):
         vecs = tuple(frac_vector(v) for v in vectors)
@@ -48,10 +55,15 @@ class LatticeBasis:
         self.ambient = ambient
         self.vectors = vecs
         self.gram = gram_matrix(vecs)
+        s = lcm(*(x.denominator for row in self.gram for x in row))
+        scaled = [[x.numerator * (s // x.denominator) for x in row] for row in self.gram]
         try:
-            self._ldlt = ldlt(self.gram)
+            deltas, U = ldl_fraction_free(scaled)
         except ValueError:
             raise PreconditionError("basis vectors are linearly dependent") from None
+        pairs = [deltas[i] * deltas[i + 1] for i in range(self.rank)]
+        W = lcm(*pairs)
+        self._fp = (U, tuple(W // p for p in pairs), s * W)
 
     def __repr__(self):
         return f"LatticeBasis(rank={self.rank}, vectors={self.vectors!r})"
@@ -81,36 +93,36 @@ def covol_sq(L):
 def short_coefficient_vectors(L, bound):
     """All nonzero integer coefficient vectors c with |sum c_i b_i|^2 <= bound.
 
-    Exact Fincke-Pohst style enumeration on the Gram matrix; both signs
-    of every vector are produced.  Returns a list of (coeffs, norm_sq).
+    Exact Fincke-Pohst style enumeration on the scaled integer Gram
+    minors; both signs of every vector are produced.  Returns a list of
+    (coeffs, norm_sq) with norm_sq a Fraction.
     """
     bound = Fraction(bound)
     if bound <= 0:
         return []
-    Lmat, D = L._ldlt
+    U, weights, scale = L._fp
     k = L.rank
     out = []
     x = [0] * k
 
     def rec(i, rem, acc):
-        # levels i+1..k-1 are fixed; rem is the leftover squared budget
-        c = -sum(Lmat[j][i] * x[j] for j in range(i + 1, k))
-        rad = rem / D[i]
-        lo = ceil_sub_sqrt(c, rad)
-        hi = floor_add_sqrt(c, rad)
-        for xi in range(lo, hi + 1):
-            contrib = D[i] * (Fraction(xi) - c) ** 2
-            if contrib > rem:
-                continue
+        # levels i+1..k-1 are fixed; rem is the leftover scaled budget and
+        # level i adds w_i z^2 with z = x_i D_(i+1) + n
+        row, w, piv = U[i], weights[i], U[i][i]
+        n = sum(row[j] * x[j] for j in range(i + 1, k))
+        r = isqrt(rem // w)
+        for xi in range(-((r + n) // piv), (r - n) // piv + 1):
+            z = xi * piv + n
+            contrib = w * z * z
             x[i] = xi
             if i == 0:
                 if any(x):
-                    out.append((tuple(x), acc + contrib))
+                    out.append((tuple(x), Fraction(acc + contrib, scale)))
             else:
                 rec(i - 1, rem - contrib, acc + contrib)
         x[i] = 0
 
-    rec(k - 1, bound, Fraction(0))
+    rec(k - 1, bound.numerator * scale // bound.denominator, 0)
     return out
 
 

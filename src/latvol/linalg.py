@@ -1,24 +1,20 @@
 """Exact rational and integer linear algebra helpers.
 
-Everything here is exact: Fraction arithmetic for rational matrices,
-Bareiss elimination for integer determinants, and integer floor/ceil
-bounds for expressions of the form t +- sqrt(rho) used by the lattice
-enumerations.  No floats enter any comparison.
+Everything here is exact: Fraction arithmetic for rational matrices and
+Bareiss elimination for integer determinants and the fraction-free
+L D L^T that the lattice enumerations run on.  No floats enter any
+comparison.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 
 
 def frac_vector(v):
     return tuple(Fraction(x) for x in v)
-
-
-def frac_matrix(rows):
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def dot(u, v):
@@ -42,10 +38,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][t] * b[t][j] for t in range(m)) for j in range(p))
         for i in range(n)
     )
-
-
-def transpose(a):
-    return tuple(zip(*a))
 
 
 def det_fraction(m):
@@ -130,27 +122,34 @@ def inverse_fraction(m):
     return tuple(tuple(row[k:]) for row in a)
 
 
-def ldlt(gram):
-    """Decompose a symmetric matrix as L D L^T with L unit lower triangular.
+def ldl_fraction_free(m):
+    """Fraction-free L D L^T of a symmetric integer matrix (Bareiss).
 
-    Returns (L, D) as nested tuples / tuple of Fractions.  Raises
-    ValueError when the matrix is not positive definite, which doubles
-    as the rank check for lattice Gram matrices.
+    Returns (deltas, U): deltas[i] is the leading principal minor of
+    order i (deltas[0] = 1) and U is upper triangular with
+    U[i][j] = L[j][i] * deltas[i + 1], so U[i][i] = deltas[i + 1] and
+    x^T m x = sum_i (U x)_i^2 / (deltas[i] * deltas[i + 1]).  Every entry
+    is an integer.  Raises ValueError when m is not positive definite,
+    which doubles as the rank check for lattice Gram matrices.
     """
-    k = len(gram)
-    L = [[Fraction(0)] * k for _ in range(k)]
-    D = [Fraction(0)] * k
-    for i in range(k):
-        for j in range(i + 1):
-            s = gram[i][j] - sum(L[i][t] * L[j][t] * D[t] for t in range(j))
-            if i == j:
-                if s <= 0:
-                    raise ValueError("matrix is not positive definite")
-                D[i] = s
-                L[i][i] = Fraction(1)
-            else:
-                L[i][j] = s / D[j]
-    return tuple(tuple(row) for row in L), tuple(D)
+    k = len(m)
+    a = [list(row) for row in m]
+    deltas = [1]
+    rows = []
+    for p in range(k):
+        piv = a[p][p]
+        if piv <= 0:
+            raise ValueError("matrix is not positive definite")
+        rows.append((0,) * p + tuple(a[p][p:]))
+        prev = deltas[-1]
+        deltas.append(piv)
+        for r in range(p + 1, k):
+            for c in range(p + 1, k):
+                q, rem = divmod(a[r][c] * piv - a[r][p] * a[p][c], prev)
+                if rem:
+                    raise InvariantError("Bareiss step left the integers")
+                a[r][c] = q
+    return tuple(deltas), tuple(rows)
 
 
 def floor_sqrt_frac(x):
@@ -159,24 +158,6 @@ def floor_sqrt_frac(x):
     if x < 0:
         raise ValueError("negative radicand")
     return isqrt(x.numerator * x.denominator) // x.denominator
-
-
-def floor_add_sqrt(t, rho):
-    """floor(t + sqrt(rho)) for Fractions, rho >= 0, exact."""
-    t = Fraction(t)
-    rho = Fraction(rho)
-    base = (t.numerator // t.denominator) + floor_sqrt_frac(rho)
-    # the true floor is base or base + 1
-    cand = base + 1
-    diff = cand - t
-    if diff <= 0 or diff * diff <= rho:
-        return cand
-    return base
-
-
-def ceil_sub_sqrt(t, rho):
-    """ceil(t - sqrt(rho)) for Fractions, rho >= 0, exact."""
-    return -floor_add_sqrt(-Fraction(t), rho)
 
 
 def ext_gcd(a, b):

@@ -117,6 +117,16 @@ def test_precondition_exit_3(capsys):
     assert doc["error"]["exit_code"] == 3
 
 
+def test_zero_rank_and_negative_budget_exit_3(capsys):
+    for argv in (
+        ("abelian", "--k", "0"),
+        ("reduce", "--matrix=1,0,0;0,1,0;0,0,2", "--k3-budget=-5"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "", argv
+        assert json.loads(err)["error"]["type"] == "PreconditionError"
+
+
 def test_budget_exit_4(capsys):
     code, _, err = run(capsys, "cone-count", "--d-list", "100")
     assert code == 4

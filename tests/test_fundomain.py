@@ -154,6 +154,8 @@ def test_reduce_preconditions_and_budget():
         reduce_to_F([[1, 0, 0], [0, 1, 0], [0, 0, 2]])  # budget must be explicit
     with pytest.raises(PreconditionError):
         reduce_to_F([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    with pytest.raises(PreconditionError):
+        reduce_to_F([[1, 0, 0], [0, 1, 0], [0, 0, 2]], k3_budget=-5)
     with pytest.raises(BudgetExceededError):
         reduce_to_F([[1, 0, 0], [0, 1, 0], [0, 0, 2]], k3_budget=1)
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -69,7 +70,7 @@ def test_shortest_vector_brute_force_agreement():
             ]
         )
         # the coefficient box is wide enough at these sizes
-        assert n <= brute
+        assert n == brute
 
 
 def test_short_coefficient_vectors_complete():
@@ -85,6 +86,54 @@ def test_short_coefficient_vectors_complete():
             if n <= 8:
                 want[(a, b)] = Fraction(n)
     assert got == want
+
+
+def _box_enumeration(L, bound):
+    """{coeffs: norm} over the box |c_i| <= sqrt(bound * (G^-1)_ii), which
+    holds every coefficient vector of norm <= bound (Cauchy-Schwarz)."""
+    k = L.rank
+    G = [list(row) for row in L.gram]
+    inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for col in range(k):  # Gauss-Jordan; G is positive definite
+        p = G[col][col]
+        G[col] = [x / p for x in G[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(k):
+            if r != col:
+                f = G[r][col]
+                G[r] = [x - f * y for x, y in zip(G[r], G[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    box = []
+    for i in range(k):
+        r2 = bound * inv[i][i]
+        r = 0
+        while (r + 1) ** 2 <= r2:
+            r += 1
+        box.append(range(-r, r + 1))
+    out = {}
+    for c in itertools.product(*box):
+        if any(c):
+            n = sum(c[i] * L.gram[i][j] * c[j] for i in range(k) for j in range(k))
+            if n <= bound:
+                out[c] = n
+    return out
+
+
+def test_short_coefficient_vectors_match_box_enumeration():
+    # integral Gram matrices (rank 2 and 3) and the rational ones of their
+    # quotients by a shortest vector
+    rng = random.Random(17)
+    for trial in range(30):
+        k = 2 + trial % 2
+        L = rand_basis(rng, k, -5, 5)
+        v, _ = shortest_vector(L)
+        for M in (L, quotient(L, v)):
+            top = max(M.gram[i][i] for i in range(M.rank))
+            for bound in (top / 3, top * Fraction(3, 2)):
+                got = short_coefficient_vectors(M, bound)
+                assert all(type(n) is Fraction for _, n in got)
+                assert len(got) == len({c for c, _ in got})
+                assert {tuple(c): n for c, n in got} == _box_enumeration(M, bound)
 
 
 def test_lattice_coefficients_and_membership():

@@ -7,14 +7,12 @@ import helpers as H
 from latvol.errors import PreconditionError
 from latvol.linalg import (
     bernoulli,
-    ceil_sub_sqrt,
     det_fraction,
     det_int,
     ext_gcd,
-    floor_add_sqrt,
     floor_sqrt_frac,
     inverse_fraction,
-    ldlt,
+    ldl_fraction_free,
     power_sum,
     solve_fraction,
     vec_gcd,
@@ -61,29 +59,30 @@ def test_solve_and_inverse_round_trip():
         assert prod == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
-def test_ldlt_reconstructs_gram():
+def test_ldl_fraction_free_reconstructs_gram():
     rng = random.Random(5)
     for _ in range(30):
         b = H.rand_rows(rng, 3)
-        gram = [
-            [sum(Fraction(b[i][t]) * b[j][t] for t in range(3)) for j in range(3)]
-            for i in range(3)
-        ]
-        L, D = ldlt(gram)
+        gram = [[sum(b[i][t] * b[j][t] for t in range(3)) for j in range(3)] for i in range(3)]
+        deltas, U = ldl_fraction_free(gram)
+        assert deltas == (1,) + tuple(
+            H.det([row[:i] for row in gram[:i]]) for i in range(1, 4)
+        )
+        # x^T G x = sum_i (U x)_i^2 / (D_i D_(i+1)), i.e. G = U^T diag(1 / D_i D_(i+1)) U
         re = [
             [
-                sum(L[i][t] * D[t] * L[j][t] for t in range(3))
+                sum(Fraction(U[t][i] * U[t][j], deltas[t] * deltas[t + 1]) for t in range(3))
                 for j in range(3)
             ]
             for i in range(3)
         ]
         assert re == gram
+        assert all(U[i][j] == 0 for i in range(3) for j in range(i))
 
 
-def test_ldlt_rejects_rank_deficient():
-    gram = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+def test_ldl_fraction_free_rejects_rank_deficient():
     with pytest.raises(ValueError):
-        ldlt(gram)
+        ldl_fraction_free([[1, 2], [2, 4]])
 
 
 def test_floor_sqrt_frac_exact():
@@ -101,20 +100,6 @@ def test_floor_sqrt_frac_exact():
         x = Fraction(rng.randint(0, 10**6), rng.randint(1, 10**3))
         f = floor_sqrt_frac(x)
         assert f * f <= x < (f + 1) * (f + 1)
-
-
-def test_floor_add_sqrt_and_ceil_sub_sqrt():
-    # floor(t + sqrt(rho)) and ceil(t - sqrt(rho)) with rho rational
-    rng = random.Random(7)
-    for _ in range(300):
-        t = Fraction(rng.randint(-50, 50), rng.randint(1, 9))
-        rho = Fraction(rng.randint(0, 400), rng.randint(1, 9))
-        lo = ceil_sub_sqrt(t, rho)
-        hi = floor_add_sqrt(t, rho)
-        # n is in [t - sqrt(rho), t + sqrt(rho)] iff (n - t)^2 <= rho
-        for n in (lo - 1, lo, hi, hi + 1):
-            inside = (n - t) ** 2 <= rho
-            assert inside == (lo <= n <= hi)
 
 
 def test_bernoulli_numbers():
