@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 from . import dirichlet, fundomain, hnf, measure, padic, report
-from .errors import LatvolError
+from .errors import LatvolError, PreconditionError
 
 
 def _fraction(text):
@@ -55,7 +55,11 @@ def _cmd_count_by_index(args):
 
 
 def _cmd_zeta(args):
-    rows = [(float(s), dirichlet.riemann_zeta(float(s))) for s in args.s]
+    # riemann_zeta refuses an s too large for a float before float(s) sees it
+    rows = []
+    for s in args.s:
+        value = dirichlet.riemann_zeta(s)
+        rows.append((float(s), value))
     return report.Table("zeta", ("s", "value"), rows)
 
 
@@ -135,6 +139,14 @@ def _cmd_spike_demo(args):
 def _cmd_normalization(args):
     value = measure.normalization_constant(args.k)
     return report.Table("normalization", ("k", "value"), [(args.k, value)])
+
+
+def _write_file(path, text):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise PreconditionError(f"cannot write {path!r}: {e.strerror or e}") from None
 
 
 def build_parser():
@@ -223,6 +235,8 @@ def main(argv=None):
     try:
         table = args.handler(args)
         text = report.render(table, args.format)
+        if args.output:
+            _write_file(args.output, text)
     except LatvolError as e:
         record = {
             "error": {
@@ -233,10 +247,7 @@ def main(argv=None):
         }
         sys.stderr.write(json.dumps(record) + "\n")
         return e.exit_code
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not args.output:
         sys.stdout.write(text)
     return 0
 

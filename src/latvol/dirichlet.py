@@ -10,8 +10,6 @@ import csv
 from fractions import Fraction
 from math import factorial, floor, fsum, log
 
-import numpy as np
-
 from . import kernels
 from .errors import PreconditionError
 from .linalg import bernoulli
@@ -153,7 +151,10 @@ def riemann_zeta(s, eps=1e-12):
     in that range) event the bound exceeds eps/2.  Large s uses the
     direct sum with the integral tail bound.
     """
-    s = float(s)
+    try:
+        s = float(s)
+    except OverflowError:
+        raise PreconditionError("|s| is too large for a float") from None
     if s <= 1:
         raise PreconditionError("zeta is evaluated for s > 1 only")
     if s >= 16:
@@ -233,6 +234,8 @@ def product_error_scan(T_max):
     """(sup, argmax) of the normalized sigma-summatory error over T <= T_max."""
     if T_max < 1:
         raise PreconditionError("T_max must be >= 1")
+    import numpy as np
+
     cs = kernels.sigma_cumsum(T_max)
     z2 = riemann_zeta(2)
     t = np.arange(1, T_max + 1, dtype=np.float64)

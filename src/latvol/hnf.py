@@ -148,31 +148,16 @@ def _count_exact(k, T, memo):
     return total
 
 
-def _int64_safe(k, T):
-    # the numba path caps every partial sum by T^k (easy bound) and its
-    # Faulhaber intermediates by 8 T^k, so this guard rules out wrap
-    return k <= 4 and 8 * T**k < 2**63
-
-
 def count_sublattices(k, T):
     """Number of sublattices of Z^k with index at most T, exact.
 
-    Uses the int64 kernel when kernels.backend() resolves to numba and the
-    easy bound count <= T^k proves the arithmetic cannot overflow; otherwise
-    falls back to arbitrary-precision integers, so overflow is excluded
-    structurally rather than detected after the fact.
+    The recursion runs on arbitrary-precision integers, so overflow is
+    excluded structurally rather than detected after the fact.
     """
     if k < 1:
         raise PreconditionError("rank must be >= 1")
     if T < 1:
         raise PreconditionError("threshold must be >= 1")
-    # imported at call time: perfbench/tracer.py wraps each kernels function
-    # that another module holds as a kernel whose first argument is a size,
-    # and backend() takes no argument
-    from .kernels import backend, count_dp
-
-    if backend() == "numba" and _int64_safe(k, T):
-        return int(count_dp(k, T))
     return _count_exact(k, T, {})
 
 

@@ -1,174 +1,22 @@
-"""Numeric kernels with numba, numpy, and pure-Python backends.
+"""Exact numpy kernels: the divisor-sum sieve and the disc count.
 
-The backend is chosen per call from the LATVOL_BACKEND environment
-variable ("numba", "numpy", or "python"); the default is numba when it
-imports, numpy otherwise.  Every backend returns bit-identical results,
-so the flag only trades speed:
+- sigma_cumsum(n): out[t] = sigma(1) + ... + sigma(t), an int64 array.
+- disc_count(Q):   the number of integer points (i, j) with i^2 + j^2 <= Q.
 
-- sigma_cumsum: divisor-sum sieve + cumulative sums (all backends)
-- disc_count:   lattice points of r Z^2 in a closed disc (all backends)
-- count_dp:     floor-compressed sublattice counting DP (numba only;
-  callers fall back to the arbitrary-precision path in hnf)
-
-The int64 kernels are only invoked under guards proving the arithmetic
-fits: sigma sums stay below ~0.83 n^2, the counting DP below T^k, and
-its Faulhaber intermediates below 8 T^k.
+numpy is imported inside each kernel, so importing latvol (and every CLI
+subcommand, none of which builds an array) does not pay for it.  Both
+kernels are exact in int64 under their caps: the sigma sums stay below
+~0.83 n^2, and the disc rows stay below 2^53, where float64 square roots
+are off by at most one and are corrected in integers.
 """
 
-import os
 from math import isqrt
-
-import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-
 _SIGMA_BUDGET = 20_000_000
 _DISC_BUDGET = 4 * 10**15
-
-
-def backend():
-    """Resolve the active backend name from LATVOL_BACKEND."""
-    b = os.environ.get("LATVOL_BACKEND", "numba" if HAVE_NUMBA else "numpy")
-    if b not in ("numba", "numpy", "python"):
-        raise PreconditionError(f"unknown backend {b!r}")
-    if b == "numba" and not HAVE_NUMBA:
-        return "numpy"
-    return b
-
-
-def np_sigma_cumsum(n):
-    arr = np.zeros(n + 1, dtype=np.int64)
-    for d in range(1, n + 1):
-        arr[d::d] += d
-    return np.cumsum(arr)
-
-
-def py_sigma_cumsum(n):
-    arr = [0] * (n + 1)
-    for d in range(1, n + 1):
-        for m in range(d, n + 1, d):
-            arr[m] += d
-    out = np.zeros(n + 1, dtype=np.int64)
-    tot = 0
-    for t in range(1, n + 1):
-        tot += arr[t]
-        out[t] = tot
-    return out
-
-
-def np_disc_count(Q):
-    if Q < 0:
-        return 0
-    M = isqrt(Q)
-    i = np.arange(-M, M + 1, dtype=np.int64)
-    v = Q - i * i
-    s = np.floor(np.sqrt(v.astype(np.float64))).astype(np.int64)
-    # float sqrt is off by at most one either way at this size
-    s[(s + 1) * (s + 1) <= v] += 1
-    s[s * s > v] -= 1
-    return int(np.sum(2 * s + 1))
-
-
-def py_disc_count(Q):
-    if Q < 0:
-        return 0
-    M = isqrt(Q)
-    total = 0
-    for i in range(-M, M + 1):
-        total += 2 * isqrt(Q - i * i) + 1
-    return total
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True)
-    def nb_sigma_cumsum(n):
-        arr = np.zeros(n + 1, dtype=np.int64)
-        for d in range(1, n + 1):
-            for m in range(d, n + 1, d):
-                arr[m] += d
-        out = np.zeros(n + 1, dtype=np.int64)
-        tot = 0
-        for t in range(1, n + 1):
-            tot += arr[t]
-            out[t] = tot
-        return out
-
-    @numba.njit(cache=True)
-    def _nb_isqrt(v):
-        s = int(np.sqrt(np.float64(v)))
-        while (s + 1) * (s + 1) <= v:
-            s += 1
-        while s * s > v:
-            s -= 1
-        return s
-
-    @numba.njit(cache=True)
-    def nb_disc_count(Q):
-        if Q < 0:
-            return 0
-        M = _nb_isqrt(Q)
-        total = 0
-        for i in range(-M, M + 1):
-            total += 2 * _nb_isqrt(Q - i * i) + 1
-        return total
-
-    @numba.njit(cache=True)
-    def _nb_power_sum(e, n):
-        if n <= 0:
-            return 0
-        if e == 0:
-            return n
-        if e == 1:
-            return n * (n + 1) // 2
-        if e == 2:
-            return n * (n + 1) * (2 * n + 1) // 6
-        s = n * (n + 1) // 2
-        return s * s
-
-    @numba.njit(cache=True)
-    def _nb_dp_eval(x, e, small, large, T, R):
-        total = 0
-        d = 1
-        while d <= x:
-            q = x // d
-            dmax = x // q
-            ps = _nb_power_sum(e, dmax) - _nb_power_sum(e, d - 1)
-            f = small[q] if q <= R else large[T // q]
-            total += ps * f
-            d = dmax + 1
-        return total
-
-    @numba.njit(cache=True)
-    def nb_count_dp(k, T):
-        R = _nb_isqrt(T)
-        small = np.zeros(R + 1, dtype=np.int64)
-        large = np.zeros(R + 1, dtype=np.int64)
-        for v in range(1, R + 1):
-            small[v] = v
-        for i in range(1, R + 1):
-            large[i] = T // i
-        for level in range(2, k + 1):
-            e = level - 1
-            new_small = np.zeros(R + 1, dtype=np.int64)
-            new_large = np.zeros(R + 1, dtype=np.int64)
-            for v in range(1, R + 1):
-                new_small[v] = _nb_dp_eval(v, e, small, large, T, R)
-            for i in range(1, R + 1):
-                new_large[i] = _nb_dp_eval(T // i, e, small, large, T, R)
-            small, large = new_small, new_large
-        if T <= R:
-            return small[T]
-        return large[1]
+_DISC_CHUNK = 1 << 16
 
 
 def sigma_cumsum(n):
@@ -177,37 +25,38 @@ def sigma_cumsum(n):
         raise PreconditionError("n must be nonnegative")
     if n > _SIGMA_BUDGET:
         raise BudgetExceededError(f"sigma sieve limited to n <= {_SIGMA_BUDGET}")
-    b = backend()
-    if b == "numba":
-        return nb_sigma_cumsum(n)
-    if b == "numpy":
-        return np_sigma_cumsum(n)
-    return py_sigma_cumsum(n)
+    import numpy as np
+
+    r = isqrt(n)
+    arr = np.zeros(n + 1, dtype=np.int64)
+    for d in range(1, r + 1):
+        arr[d::d] += d
+    # each divisor d > r of m = c d has cofactor c <= n // (r + 1); one slice
+    # per cofactor adds all of them
+    big = np.arange(r + 1, n + 1, dtype=np.int64)
+    for c in range(1, n // (r + 1) + 1):
+        top = n // c
+        arr[c * (r + 1) : c * top + 1 : c] += big[: top - r]
+    return np.cumsum(arr, out=arr)
 
 
 def disc_count(Q):
     """Number of integer points (i, j) with i^2 + j^2 <= Q."""
     if Q > _DISC_BUDGET:
         raise BudgetExceededError(f"disc count limited to Q <= {_DISC_BUDGET}")
-    b = backend()
-    if b == "numba":
-        return int(nb_disc_count(Q))
-    if b == "numpy":
-        return np_disc_count(Q)
-    return py_disc_count(Q)
+    if Q < 0:
+        return 0
+    import numpy as np
 
-
-def count_dp(k, T):
-    """int64 sublattice-count DP for 1 <= k <= 4.
-
-    The argument checks come before the numba check, so an input that
-    could wrap is refused with BudgetExceededError on every machine.
-    """
-    if k < 1 or T < 1:
-        raise PreconditionError("rank and cutoff must be positive")
-    # every partial sum is <= 8 T^k, so this keeps the DP inside int64
-    if k > 4 or 8 * T**k >= 2**63:
-        raise BudgetExceededError("count DP limited to k <= 4 with 8 T^k < 2^63")
-    if not HAVE_NUMBA:
-        raise PreconditionError("numba backend unavailable")
-    return int(nb_count_dp(k, T))
+    M = isqrt(Q)
+    # the axes hold 4M + 1 points; rows +-i, i = 1..M, hold s_i = isqrt(Q - i^2)
+    # points off the axes in each of the four quadrants
+    total = 4 * M + 1
+    for lo in range(1, M + 1, _DISC_CHUNK):
+        i = np.arange(lo, min(lo + _DISC_CHUNK, M + 1), dtype=np.int64)
+        v = Q - i * i
+        s = np.sqrt(v.astype(np.float64)).astype(np.int64)
+        s[(s + 1) * (s + 1) <= v] += 1
+        s[s * s > v] -= 1
+        total += 4 * int(s.sum())
+    return total

@@ -17,6 +17,24 @@ def sigma_table(n):
     return s
 
 
+def disc_points(q):
+    """Integer points (x, y) with x^2 + y^2 <= q, by testing the square."""
+    if q < 0:
+        return 0
+    r = isqrt(q)
+    return sum(
+        1 for x in range(-r, r + 1) for y in range(-r, r + 1) if x * x + y * y <= q
+    )
+
+
+def disc_row_sum(q):
+    """Integer points (x, y) with x^2 + y^2 <= q, one isqrt per row x."""
+    if q < 0:
+        return 0
+    r = isqrt(q)
+    return sum(2 * isqrt(q - x * x) + 1 for x in range(-r, r + 1))
+
+
 def transpose(rows):
     k = len(rows)
     return [[rows[j][i] for j in range(k)] for i in range(k)]

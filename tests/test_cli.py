@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
+import latvol
 from latvol import cli
 from latvol.errors import InvariantError
 from latvol.report import parse_csv
@@ -110,11 +114,41 @@ def test_parse_error_exit_2(capsys):
 
 
 def test_precondition_exit_3(capsys):
-    code, out, err = run(capsys, "zeta", "--s", "1/2")
-    assert code == 3 and out == ""
-    doc = json.loads(err)
-    assert doc["error"]["type"] == "PreconditionError"
-    assert doc["error"]["exit_code"] == 3
+    # 1e400 is an exact rational whose float conversion overflows
+    for s in ("1/2", "1e400"):
+        code, out, err = run(capsys, "zeta", "--s", s)
+        assert code == 3 and out == "", s
+        doc = json.loads(err)
+        assert doc["error"]["type"] == "PreconditionError"
+        assert doc["error"]["exit_code"] == 3
+
+
+def test_unwritable_output_exit_3(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "t.csv", tmp_path):
+        code, out, err = run(capsys, "constant", "--k", "2", "--output", str(target))
+        assert code == 3 and out == "", target
+        assert err.count("\n") == 1
+        doc = json.loads(err)
+        assert doc["error"]["type"] == "PreconditionError"
+        assert doc["error"]["exit_code"] == 3
+    assert not (tmp_path / "missing").exists()
+
+
+def test_count_does_not_import_numpy():
+    # numpy is imported only by the kernels that build arrays
+    script = (
+        "import sys\n"
+        "from latvol import cli\n"
+        "code = cli.main(['count', '--k', '2', '--max-index', '100'])\n"
+        "sys.stderr.write(f'{code} {\"numpy\" in sys.modules}')\n"
+    )
+    src = os.path.dirname(os.path.dirname(latvol.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    res = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert res.stderr == "0 False"
 
 
 def test_zero_rank_and_negative_budget_exit_3(capsys):

@@ -108,12 +108,6 @@ def test_count_sublattices_preconditions():
         count_sublattices(2, 0)
 
 
-def test_count_sublattices_rejects_unknown_backend(monkeypatch):
-    monkeypatch.setenv("LATVOL_BACKEND", "cuda")
-    with pytest.raises(PreconditionError):
-        count_sublattices(2, 10)
-
-
 def test_count_with_short_vector_pinned():
     assert count_with_short_vector(2, 1, 1) == 1
     assert count_with_short_vector(2, 2, 2) == 7

@@ -1,74 +1,38 @@
-import importlib.util
 import random
-from math import isqrt
 
 import pytest
 
 import helpers as H
 from latvol import kernels
-from latvol.errors import BudgetExceededError, PreconditionError
-from latvol.hnf import count_exact_reference
+from latvol.errors import BudgetExceededError
 
 
-def test_have_numba_in_this_environment():
-    # numba is optional; the kernels module must detect it exactly when it
-    # is installed (an installed numba that fails to import is a broken install)
-    assert kernels.HAVE_NUMBA == (importlib.util.find_spec("numba") is not None)
+def test_sigma_cumsum_exact():
+    # r^2 - 1, r^2 and r^2 + 1 put n just below, at and above the point
+    # where the sieve's small-divisor range [1, isqrt(n)] grows
+    roots = (1, 2, 3, 4, 5, 7, 10, 31, 100, 317)
+    top = roots[-1] ** 2 + 1
+    sig = H.sigma_table(top)
+    want = [0] * (top + 1)
+    for m in range(1, top + 1):
+        want[m] = want[m - 1] + sig[m]
+    sizes = {0, 1, 500} | {r * r + e for r in roots for e in (-1, 0, 1)}
+    for n in sorted(sizes):
+        assert list(kernels.sigma_cumsum(n)) == want[: n + 1], n
 
 
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("LATVOL_BACKEND", "python")
-    assert kernels.backend() == "python"
-    monkeypatch.setenv("LATVOL_BACKEND", "numpy")
-    assert kernels.backend() == "numpy"
-    monkeypatch.delenv("LATVOL_BACKEND", raising=False)
-    assert kernels.backend() in ("numba", "numpy")
-    monkeypatch.setenv("LATVOL_BACKEND", "cuda")
-    with pytest.raises(PreconditionError):
-        kernels.backend()
-
-
-def test_sigma_cumsum_backends_agree(monkeypatch):
-    sig = H.sigma_table(500)
-    want = [0] * 501
-    for n in range(1, 501):
-        want[n] = want[n - 1] + sig[n]
-    for name in ("python", "numpy", "numba"):
-        monkeypatch.setenv("LATVOL_BACKEND", name)
-        got = kernels.sigma_cumsum(500)
-        assert list(got) == want, name
-
-
-def test_disc_count_backends_agree(monkeypatch):
-    def brute(q):
-        r = isqrt(q)
-        return sum(
-            1
-            for x in range(-r, r + 1)
-            for y in range(-r, r + 1)
-            if x * x + y * y <= q
-        )
-
+def test_disc_count_exact():
     rng = random.Random(41)
-    qs = [0, 1, 2, 25, 1000] + [rng.randint(1, 10**4) for _ in range(10)]
-    for name in ("python", "numpy", "numba"):
-        monkeypatch.setenv("LATVOL_BACKEND", name)
-        for q in qs:
-            assert kernels.disc_count(q) == brute(q), (name, q)
-
-
-def test_count_dp_matches_exact_recursion():
-    # count_dp is numba only; without it callers use the big-integer path
-    pytest.importorskip("numba")
-    for k in (2, 3, 4):
-        for t in (1, 2, 3, 10, 57, 120):
-            assert kernels.count_dp(k, t) == count_exact_reference(k, t), (k, t)
-
-
-def test_count_dp_int64_guard():
-    # 8 T^k must stay below 2^63
-    with pytest.raises(BudgetExceededError):
-        kernels.count_dp(4, 10**5)
+    small = [-5, -1, 0, 1, 2, 3, 4, 5, 24, 25, 26, 99, 100, 1000]
+    small += [rng.randint(1, 10**4) for _ in range(10)]
+    for q in small:
+        assert kernels.disc_count(q) == H.disc_points(q), q
+        assert H.disc_points(q) == H.disc_row_sum(q), q
+    # isqrt(Q) just below, at and above one and two chunks of rows
+    c = kernels._DISC_CHUNK
+    for m in (c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1):
+        for q in (m * m, m * m + m, (m + 1) ** 2 - 1):
+            assert kernels.disc_count(q) == H.disc_row_sum(q), q
 
 
 def test_sigma_budget():
