@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 from . import dirichlet, fundomain, hnf, measure, padic, report
-from .errors import LatvolError, PreconditionError
+from .errors import InvariantError, LatvolError, PreconditionError
 
 
 def _fraction(text):
@@ -226,6 +226,19 @@ def build_parser():
     return p
 
 
+def _fail(error, exit_code):
+    """Write the one-line JSON error record to stderr; return the exit code."""
+    record = {
+        "error": {
+            "type": type(error).__name__,
+            "exit_code": exit_code,
+            "message": str(error),
+        }
+    }
+    sys.stderr.write(json.dumps(record) + "\n")
+    return exit_code
+
+
 def main(argv=None):
     parser = build_parser()
     try:
@@ -238,15 +251,11 @@ def main(argv=None):
         if args.output:
             _write_file(args.output, text)
     except LatvolError as e:
-        record = {
-            "error": {
-                "type": type(e).__name__,
-                "exit_code": e.exit_code,
-                "message": str(e),
-            }
-        }
-        sys.stderr.write(json.dumps(record) + "\n")
-        return e.exit_code
+        return _fail(e, e.exit_code)
+    except Exception as e:
+        # last resort: an unexpected error is an internal failure, reported
+        # in the same one-line record instead of a traceback
+        return _fail(e, InvariantError.exit_code)
     if not args.output:
         sys.stdout.write(text)
     return 0

@@ -4,7 +4,7 @@ For an integer matrix A with det A = d > 0, the orbit {A @ g : det g = 1}
 has a unique member minimizing the squared Frobenius distance
 |M / d^(1/k) - I|^2 once ties are broken lexicographically on the matrix
 entries (row-major).  The minimizer is found by exhaustive search over
-an exact integer ball, so every comparison is rational: for candidates
+an exact integer region, so every comparison is rational: for candidates
 M1, M2 the sign of the distance difference equals the sign of
 (a1 - a2) * d^(-1/k) - 2 * (b1 - b2) with a = |M|_F^2 and b = tr M,
 which is decided by comparing |a1 - a2|^k against 2^k |b1 - b2|^k d.
@@ -114,53 +114,62 @@ def _lagrange(b1, b2):
         b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1])
 
 
-def _k2_candidates(b1, b2, d, R2):
-    """Yield (a, tr, x, y, al0, be0, t) over all M = (b1 b2) gamma',
-    det gamma' = 1, |M|_F^2 <= R2, where gamma' = ((x, al0 + t x),
-    (y, be0 + t y)) and (a, tr) = (|M|_F^2, tr M); `_k2_member` builds
-    (M, gamma').  (b1, b2) must be Lagrange-reduced with det +d."""
+def _floor_sqrt_mul(d, v):
+    """floor(sqrt(d) * v) for integers d >= 1 and v, exactly."""
+    if v >= 0:
+        return isqrt(d * v * v)
+    return -isqrt(d * v * v - 1) - 1
+
+
+def _k2_first_columns(b1, b2, d, c, R):
+    """Coefficients (x, y), gcd(x, y) = 1, of every u = x b1 + y b2 with
+    |u - c e1|^2 <= R, where d = b1 x b2 > 0."""
     n1 = _dot2(b1, b1)
-    n2 = _dot2(b2, b2)
-    m = _dot2(b1, b2)
-    D2 = n1 * n2 - m * m
-    C1 = R2 - n1
-    if C1 < 0:
-        return
-    Y = isqrt(C1 * n1 // D2)
-    for y in range(-Y, Y + 1):
-        disc = n1 * C1 - D2 * y * y
+    # y d = b1 x u = b1 x (u - c e1) - c b1[1], and |b1 x v| <= |b1| |v|
+    S = isqrt(n1 * R)
+    for y in range(_ceil_div(-S - c * b1[1], d), _floor_div(S - c * b1[1], d) + 1):
+        # |x b1 + v|^2 <= R with v = y b2 - c e1 is a quadratic in x
+        v = (y * b2[0] - c, y * b2[1])
+        h = _dot2(b1, v)
+        disc = h * h - n1 * (_dot2(v, v) - R)
         if disc < 0:
             continue
         s = isqrt(disc)
-        for x in range(_ceil_div(-m * y - s, n1), _floor_div(-m * y + s, n1) + 1):
-            if gcd(x, y) != 1:
-                continue
-            q1 = n1 * x * x + 2 * m * x * y + n2 * y * y
-            if q1 > C1:
-                continue
-            # second columns with det 1 form the line (a0 + t x, b0 + t y)
-            _, uu, vv = ext_gcd(x, y)
-            al0, be0 = -vv, uu
-            qc = n1 * x * al0 + m * (x * be0 + y * al0) + n2 * y * be0
-            q0 = n1 * al0 * al0 + 2 * m * al0 * be0 + n2 * be0 * be0
-            rem = R2 - q1
-            disc2 = qc * qc - q1 * (q0 - rem)
-            if disc2 < 0:
-                continue
-            s2 = isqrt(disc2)
-            # tr M = u_0 + w_1 is linear in t
-            tr0 = x * b1[0] + y * b2[0] + al0 * b1[1] + be0 * b2[1]
-            trt = x * b1[1] + y * b2[1]
-            for t in range(_ceil_div(-qc - s2, q1), _floor_div(-qc + s2, q1) + 1):
-                yield q1 + q1 * t * t + 2 * qc * t + q0, tr0 + trt * t, x, y, al0, be0, t
+        lo, hi = _ceil_div(-h - s, n1), _floor_div(-h + s, n1)
+        if y == 0:
+            yield from ((x, 0) for x in (-1, 1) if lo <= x <= hi)
+            continue
+        for x in range(lo, hi + 1):
+            if gcd(x, y) == 1:
+                yield x, y
 
 
-def _k2_member(b1, b2, x, y, al0, be0, t):
-    """(M, gamma') for one candidate of `_k2_candidates`."""
-    al, be = al0 + t * x, be0 + t * y
-    ucol = (x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])
-    wcol = (al * b1[0] + be * b2[0], al * b1[1] + be * b2[1])
-    return ((ucol[0], wcol[0]), (ucol[1], wcol[1])), ((x, al), (y, be))
+def _k2_score_column(best, b1, b2, d, x, y):
+    """Score the best second columns for the first column u = x b1 + y b2.
+
+    With x be0 - y al0 = 1, the columns w completing u to det d are
+    w0 + t u, w0 = al0 b1 + be0 b2.  The key a - 2 sqrt(d) tr M is then
+    q1 t^2 + 2 (qc - sqrt(d) u[1]) t + const with q1 = |u|^2 and
+    qc = u . w0, a convex quadratic in t whose integer minimizers lie in
+    {t0, t0 + 1}, t0 = floor((sqrt(d) u[1] - qc) / q1); both are kept
+    on ties so that `_finish` breaks them.
+    """
+    u = (x * b1[0] + y * b2[0], x * b1[1] + y * b2[1])
+    _, p, q = ext_gcd(x, y)
+    al0, be0 = -q, p
+    w0 = (al0 * b1[0] + be0 * b2[0], al0 * b1[1] + be0 * b2[1])
+    q1 = _dot2(u, u)
+    qc = _dot2(u, w0)
+    a_base = q1 + _dot2(w0, w0)
+    tr_base = u[0] + w0[1]
+    t0 = (_floor_sqrt_mul(d, u[1]) - qc) // q1
+    for t in (t0, t0 + 1):
+        a = a_base + t * (2 * qc + q1 * t)
+        tr = tr_base + t * u[1]
+        c = _cmp_keys(a, tr, best[0][0], best[0][1], d, 2) if best else -1
+        if c <= 0:
+            M = ((u[0], w0[0] + t * u[0]), (u[1], w0[1] + t * u[1]))
+            _keep(best, c, (a, tr, M, ((x, al0 + t * x), (y, be0 + t * y))))
 
 
 def _columns(rows):
@@ -219,25 +228,21 @@ def _reduce_k2(rows):
     b1, b2 = _lagrange(cols[0], cols[1])
     if b1[0] * b2[1] - b1[1] * b2[0] < 0:
         b2 = (-b2[0], -b2[1])
-    # feasible starting point: best arrangement of short vectors
-    small = [b1, b2, (b1[0] + b2[0], b1[1] + b2[1]), (b1[0] - b2[0], b1[1] - b2[1])]
-    small += [(-u[0], -u[1]) for u in small]
-    a0 = None
-    for u in small:
-        for w in small:
-            if u[0] * w[1] - u[1] * w[0] != d:
-                continue
-            a = _dot2(u, u) + _dot2(w, w)
-            b = u[0] + w[1]
-            if a0 is None or _cmp_keys(a, b, a0, b0, d, 2) < 0:
-                a0, b0 = a, b
-    # any minimizer M satisfies |M|_F <= sqrt(a0) + 2 sqrt(2) d^(1/2)
-    R2 = a0 + 8 * d + 4 * (isqrt(2 * a0 * d) + 1)
+    # start point: the quarter turns (b1 b2) J^i, J = ((0, -1), (1, 0)),
+    # share |M|_F^2 = |b1|^2 + |b2|^2, so the largest trace is the best
+    a0 = _dot2(b1, b1) + _dot2(b2, b2)
+    b0 = max(b1[0] + b2[1], b2[0] - b1[1], -b1[0] - b2[1], b1[1] - b2[0])
+    # Every minimizer M, and every M tied with it, has
+    # |M - sqrt(d) I|_F^2 <= F0 = a0 - 2 sqrt(d) b0 + 2d, so its first
+    # column u has |u - sqrt(d) e1|^2 <= F0.  F0 <= F0up below, as
+    # isqrt(d b0^2) <= sqrt(d) |b0| < isqrt(d b0^2) + 1, and with
+    # c = isqrt(d), |sqrt(d) - c| < 1 gives |u - c e1| <= isqrt(F0up) + 2.
+    s = isqrt(d * b0 * b0)
+    F0up = a0 + 2 * d + (-2 * s if b0 >= 0 else 2 * (s + 1))
+    r = isqrt(F0up) + 2
     best = []
-    for a, tr, *line in _k2_candidates(b1, b2, d, R2):
-        c = _cmp_keys(a, tr, best[0][0], best[0][1], d, 2) if best else -1
-        if c <= 0:
-            _keep(best, c, (a, tr, *_k2_member(b1, b2, *line)))
+    for x, y in _k2_first_columns(b1, b2, d, isqrt(d), r * r):
+        _k2_score_column(best, b1, b2, d, x, y)
     return _finish(rows, d, best, [b1, b2])
 
 
@@ -283,9 +288,14 @@ def _reduce_k3(rows, budget):
     # any f-minimizer M has |M|_F <= sqrt(f(M0)) d^(1/3) + sqrt(3) d^(1/3);
     # with X = d^(1/3) and F = f(M0) X^2 = a0 - 2 b0 X + 3 X^2 that squares
     # to F + 3 X^2 + 2 sqrt(3 F) X, inflated generously against float error
-    X = d ** (1.0 / 3.0)
-    F = max(a0 - 2.0 * b0 * X + 3.0 * X * X, 0.0)
-    R2 = int((F + 3.0 * X * X + 2.0 * sqrt(3.0 * F) * X) * (1.0 + 1e-6)) + 2
+    try:
+        X = d ** (1.0 / 3.0)
+        F = max(a0 - 2.0 * b0 * X + 3.0 * X * X, 0.0)
+        R2 = int((F + 3.0 * X * X + 2.0 * sqrt(3.0 * F) * X) * (1.0 + 1e-6)) + 2
+    except OverflowError:
+        raise PreconditionError(
+            "k = 3 reduction needs det and |M|_F^2 of its start point to fit a float"
+        ) from None
     lam1 = g.alphas_sq[0]
     if lam1.denominator != 1:
         raise InvariantError("integer lattice with fractional minimum")
@@ -367,7 +377,9 @@ def reduce_to_F(A, k3_budget=None):
 
     Returns ReduceResult(gamma, rep) with A @ gamma = rep, det gamma = 1.
     k = 2 is guaranteed exact; k = 3 requires an explicit operation
-    budget and raises BudgetExceededError when the search outgrows it.
+    budget and raises BudgetExceededError when the search outgrows it,
+    and PreconditionError when its search radius, set in floats, would
+    overflow a float.
     """
     rows = _as_rows(A)
     k = len(rows)
@@ -404,18 +416,3 @@ def size_sq(H, k3_budget=None):
         raise PreconditionError("size is computed via reduction, so k <= 3")
     rep = reduce_to_F(rows, k3_budget=k3_budget).rep
     return Fraction(sum(e * e for row in rep for e in row))
-
-
-def _members_in_ball(A, cap):
-    """All orbit members M with |M|_F^2 <= cap (k = 2 only, for tests)."""
-    rows = _as_rows(A)
-    if len(rows) != 2:
-        raise PreconditionError("ball enumeration is k = 2 only")
-    d = det_int(rows)
-    if d <= 0:
-        raise PreconditionError("determinant must be positive")
-    cols = _columns(rows)
-    b1, b2 = _lagrange(cols[0], cols[1])
-    if b1[0] * b2[1] - b1[1] * b2[0] < 0:
-        b2 = (-b2[0], -b2[1])
-    return sorted({_k2_member(b1, b2, *c[2:])[0] for c in _k2_candidates(b1, b2, d, cap)})

@@ -161,13 +161,6 @@ def count_sublattices(k, T):
     return _count_exact(k, T, {})
 
 
-def count_exact_reference(k, T):
-    """Arbitrary-precision reference path for count_sublattices."""
-    if k < 1 or T < 1:
-        raise PreconditionError("need k >= 1 and T >= 1")
-    return _count_exact(k, T, {})
-
-
 def count_by_index(k, n):
     """Number of sublattices of Z^k of index exactly n.
 

@@ -161,6 +161,17 @@ def test_zero_rank_and_negative_budget_exit_3(capsys):
         assert json.loads(err)["error"]["type"] == "PreconditionError"
 
 
+def test_k3_radius_beyond_float_exit_3(capsys):
+    # det 10^320 does not fit a float, so the k = 3 search radius cannot be set
+    matrix = f"{10**320},0,0;0,1,0;0,0,1"
+    code, out, err = run(capsys, "reduce", "--matrix", matrix, "--k3-budget", "1000")
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "PreconditionError"
+    assert doc["error"]["exit_code"] == 3
+
+
 def test_budget_exit_4(capsys):
     code, _, err = run(capsys, "cone-count", "--d-list", "100")
     assert code == 4
@@ -175,6 +186,22 @@ def test_invariant_exit_5(capsys, monkeypatch):
     code, _, err = run(capsys, "local-check", "--k", "2", "--p", "2")
     assert code == 5
     assert json.loads(err)["error"]["exit_code"] == 5
+
+
+def test_unexpected_error_exit_5(capsys, monkeypatch):
+    def boom(args):
+        raise RuntimeError("forced for the exit-code contract")
+
+    monkeypatch.setattr(cli, "_cmd_constant", boom)
+    code, out, err = run(capsys, "constant", "--k", "2")
+    assert code == 5 and out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["error"] == {
+        "type": "RuntimeError",
+        "exit_code": 5,
+        "message": "forced for the exit-code contract",
+    }
 
 
 def test_spike_demo_default_scales(capsys):

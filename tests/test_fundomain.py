@@ -103,17 +103,52 @@ def test_reduce_k1_and_identity():
 
 def test_reduce_k2_matches_certified_enumeration():
     rng = random.Random(7)
+    cases = []
     for _ in range(25):
         A = H.rand_rows(rng, 2, -6, 6)
         if H.det(A) < 0:
             A[0][0], A[0][1] = A[0][1], A[0][0]
             A[1][0], A[1][1] = A[1][1], A[1][0]
+        cases.append(A)
+    # skewed Hermite forms, whose first columns lie far from sqrt(d) e1
+    for _ in range(30):
+        d = rng.randint(2, 30)
+        a = rng.randrange(d)
+        cases += [[[d, a], [0, 1]], [[1, a], [0, d]]]
+    for A in cases:
         rep, _ = H.orbit_minimum(A)
         res = reduce_to_F(A)
-        assert rep == [list(r) for r in res.rep]
+        assert rep == [list(r) for r in res.rep], A
         got = H.mat_mul(A, [list(r) for r in res.gamma])
         assert got == [list(r) for r in res.rep]
         assert H.det([list(r) for r in res.gamma]) == 1
+
+
+def test_reduce_k2_skewed_diagonal_is_fixed():
+    # The columns of any member M of the orbit of diag(D, 1) are (D n1, m1)
+    # and (D n2, m2) with n1 m2 - n2 m1 = 1.  n2 != 0 alone puts D^2 into
+    # |M - sqrt(D) I|_F^2, more than the whole (D - sqrt(D))^2 +
+    # (sqrt(D) - 1)^2 of diag(D, 1); so n2 = 0 and n1 = m2 = +-1.  n1 = -1
+    # makes the first entry's term (D + sqrt(D))^2, and m1 != 0 adds m1^2.
+    # It also bounds the search's cost: a ball around 0 took 86 s on D = 10^8.
+    for r in (0, 1, 17):
+        D = 10**8 + r
+        res = reduce_to_F([[D, 0], [0, 1]])
+        assert res.rep == ((D, 0), (0, 1))
+        assert res.gamma == ((1, 0), (0, 1))
+
+
+def test_floor_sqrt_mul_is_exact():
+    import mpmath
+
+    from latvol.fundomain import _floor_sqrt_mul
+
+    mpmath.mp.dps = 60
+    rng = random.Random(41)
+    cases = [(n * n, v) for n in (1, 2, 7, 1000) for v in (-3, -1, 0, 1, 3)]
+    cases += [(rng.randint(1, 10**12), rng.randint(-(10**6), 10**6)) for _ in range(300)]
+    for d, v in cases:
+        assert _floor_sqrt_mul(d, v) == int(mpmath.floor(mpmath.sqrt(d) * v)), (d, v)
 
 
 K3_CASES = [

@@ -7,7 +7,6 @@ from latvol.errors import BudgetExceededError, PreconditionError
 from latvol.hnf import (
     HnfMatrix,
     count_by_index,
-    count_exact_reference,
     count_sublattices,
     count_with_short_vector,
     enumerate_hnf,
@@ -90,9 +89,14 @@ def test_count_sublattices_pinned():
 
 
 def test_count_sublattices_matches_exact_reference():
-    for k in (2, 3, 4):
-        for t in (1, 7, 50, 120):
-            assert count_sublattices(k, t) == count_exact_reference(k, t)
+    # independent references: prefix sums of sigma for k = 2, and the
+    # per-index counts c_k(n) from their divisor recursion for k = 3, 4
+    sig = H.sigma_table(120)
+    for t in (1, 7, 50, 120):
+        assert count_sublattices(2, t) == sum(sig[1 : t + 1])
+        for k in (3, 4):
+            want = sum(count_by_index(k, n) for n in range(1, t + 1))
+            assert count_sublattices(k, t) == want
 
 
 def test_count_sublattices_matches_enumeration():
