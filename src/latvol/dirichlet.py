@@ -17,30 +17,20 @@ from .report import Table
 
 
 class DirichletSeries:
-    """Prefix a_1..a_N of a series sum a_n lambda_n^(-s).
+    """Prefix a_1..a_N of a series sum a_n n^(-s).
 
-    Coefficients must be nonnegative rationals; weights, when given,
-    must be nondecreasing with lambda_1 >= 1 (default lambda_n = n).
+    Coefficients must be nonnegative rationals.
     """
 
-    __slots__ = ("coefficients", "weights")
+    __slots__ = ("coefficients",)
 
-    def __init__(self, coefficients, weights=None):
+    def __init__(self, coefficients):
         coeffs = tuple(Fraction(c) for c in coefficients)
         if not coeffs:
             raise PreconditionError("series prefix must be nonempty")
         if any(c < 0 for c in coeffs):
             raise PreconditionError("coefficients must be nonnegative")
-        if weights is not None:
-            weights = tuple(Fraction(w) for w in weights)
-            if len(weights) != len(coeffs):
-                raise PreconditionError("one weight per coefficient")
-            if weights[0] < 1:
-                raise PreconditionError("weights must start at 1 or above")
-            if any(weights[i] > weights[i + 1] for i in range(len(weights) - 1)):
-                raise PreconditionError("weights must be nondecreasing")
         self.coefficients = coeffs
-        self.weights = weights
 
     def __len__(self):
         return len(self.coefficients)
@@ -83,23 +73,15 @@ class DirichletSeries:
 
 
 def summatory(f, T):
-    """Exact partial sum A(T) = sum of a_n with lambda_n <= T."""
+    """Exact partial sum A(T) = sum of a_n with n <= T."""
     T = Fraction(T)
-    if f.weights is None:
-        if T > len(f):
-            raise PreconditionError("T beyond the stored prefix")
-        return sum(f.coefficients[: floor(T)], Fraction(0))
-    if T > f.weights[-1]:
+    if T > len(f):
         raise PreconditionError("T beyond the stored prefix")
-    return sum(
-        (a for a, lam in zip(f.coefficients, f.weights) if lam <= T), Fraction(0)
-    )
+    return sum(f.coefficients[: floor(T)], Fraction(0))
 
 
 def convolve(f, g, N):
     """Dirichlet product prefix: c_n = sum over d | n of a_d b_{n/d}, exact."""
-    if f.weights is not None or g.weights is not None:
-        raise PreconditionError("convolution assumes the default weights")
     if len(f) < N or len(g) < N:
         raise PreconditionError("prefixes shorter than N")
     c = [Fraction(0)] * (N + 1)
@@ -113,19 +95,14 @@ def convolve(f, g, N):
 
 
 def dirichlet_psi(f, s):
-    """Float evaluation of the prefix: sum a_n lambda_n^(-s)."""
+    """Float evaluation of the prefix: sum a_n n^(-s)."""
     s = float(s)
-    if f.weights is None:
-        return fsum(
-            float(a) * float(n) ** -s
-            for n, a in enumerate(f.coefficients, start=1)
-            if a
-        )
     return fsum(
-        float(a) * float(lam) ** -s for a, lam in zip(f.coefficients, f.weights) if a
+        float(a) * float(n) ** -s for n, a in enumerate(f.coefficients, start=1) if a
     )
 
 
+_ZETA_TOL = 1e-12
 _EM_M = 32
 _EM_J = 10
 # B_{2j} / (2j)! for the correction terms and the remainder bound
@@ -142,14 +119,14 @@ def _em_remainder(s, M, J):
     return abs(_B_OVER_FACT[J + 1]) * rise * M ** (-s - 2 * J - 1)
 
 
-def riemann_zeta(s, eps=1e-12):
-    """zeta(s) for real s > 1 with absolute error below eps.
+def riemann_zeta(s):
+    """zeta(s) for real s > 1 with absolute error below _ZETA_TOL = 1e-12.
 
     Euler-Maclaurin: sum_{n < M} n^(-s) + M^(1-s)/(s-1) + M^(-s)/2 plus
     J Bernoulli corrections; with M = 32, J = 10 the remainder term is
     below 1e-32 throughout [1.001, 16], and M doubles in the (untested
-    in that range) event the bound exceeds eps/2.  Large s uses the
-    direct sum with the integral tail bound.
+    in that range) event the bound exceeds half the tolerance.  Large s
+    uses the direct sum with the integral tail bound.
     """
     try:
         s = float(s)
@@ -163,10 +140,10 @@ def riemann_zeta(s, eps=1e-12):
         while True:
             n += 1
             terms.append(float(n) ** -s)
-            if float(n) ** (1.0 - s) / (s - 1.0) <= eps / 2:
+            if float(n) ** (1.0 - s) / (s - 1.0) <= _ZETA_TOL / 2:
                 return fsum(terms)
     M, J = _EM_M, _EM_J
-    while _em_remainder(s, M, J) > eps / 2:
+    while _em_remainder(s, M, J) > _ZETA_TOL / 2:
         M *= 2
     terms = [float(n) ** -s for n in range(1, M)]
     terms.append(M ** (1.0 - s) / (s - 1.0))

@@ -127,21 +127,30 @@ def enumerate_hnf(k, max_det):
             yield HnfMatrix(k, tuple(tuple(r) for r in rows))
 
 
-def _count_exact(k, T, memo):
-    # count_k(T) = sum_{n <= T} n^{k-1} count_{k-1}(floor(T/n)), big ints
+# hyperbola blocks one count may run; count_sublattices(4, 10^5), the
+# largest use in the tests and benchmarks, charges about 58,000
+_COUNT_BLOCK_BUDGET = 1_000_000
+
+
+def _count_exact(k, T, memo, spent):
+    # count_k(T) = sum_{n <= T} n^{k-1} count_{k-1}(floor(T/n)), big ints;
+    # spent[0] is the block bound charged so far (see count_sublattices)
     if k == 1:
         return T
     key = (k, T)
     val = memo.get(key)
     if val is not None:
         return val
+    spent[0] += 2 * isqrt(T)
+    if spent[0] > _COUNT_BLOCK_BUDGET:
+        raise BudgetExceededError(f"count capped at {_COUNT_BLOCK_BUDGET} blocks")
     total = 0
     d = 1
     while d <= T:
         q = T // d
         dmax = T // q
         total += (power_sum(k - 1, dmax) - power_sum(k - 1, d - 1)) * _count_exact(
-            k - 1, q, memo
+            k - 1, q, memo, spent
         )
         d = dmax + 1
     memo[key] = total
@@ -152,13 +161,16 @@ def count_sublattices(k, T):
     """Number of sublattices of Z^k with index at most T, exact.
 
     The recursion runs on arbitrary-precision integers, so overflow is
-    excluded structurally rather than detected after the fact.
+    excluded structurally rather than detected after the fact.  Each
+    memoized level charges 2 isqrt(T) hyperbola blocks, a bound on the
+    distinct values of floor(T/n), before its loop; a count whose
+    charges pass _COUNT_BLOCK_BUDGET raises BudgetExceededError.
     """
     if k < 1:
         raise PreconditionError("rank must be >= 1")
     if T < 1:
         raise PreconditionError("threshold must be >= 1")
-    return _count_exact(k, T, {})
+    return _count_exact(k, T, {}, [0])
 
 
 def count_by_index(k, n):

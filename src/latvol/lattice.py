@@ -15,14 +15,12 @@ from math import gcd, isqrt, lcm
 
 from .errors import InvariantError, PreconditionError
 from .linalg import (
-    det_fraction,
     det_int,
     dot,
     ext_gcd,
     frac_vector,
     gram_matrix,
     identity_int,
-    inverse_fraction,
     ldl_fraction_free,
     solve_fraction,
     vec_gcd,
@@ -32,15 +30,16 @@ from .linalg import (
 class LatticeBasis:
     """Basis of a rank-k lattice with cached exact Gram matrix.
 
-    `_fp` caches the integer data of the Fincke-Pohst enumeration: with
-    s the lcm of the Gram denominators, the scaled Gram matrix s G has
-    leading minors D_i and fraction-free L D L^T rows U, and the norm of
-    coefficients x is sum_i (U x)_i^2 / (D_i D_(i+1)) / s.  Over the
-    common denominator W = lcm_i D_i D_(i+1) that is sum_i w_i (U x)_i^2
-    / (s W) with integer weights w_i = W / (D_i D_(i+1)).
+    With s the lcm of the Gram denominators, the scaled Gram matrix s G
+    has leading minors D_i and fraction-free L D L^T rows U.  `covol_sq`
+    is det G = D_k / s^k.  `_fp` caches the integer data of the
+    Fincke-Pohst enumeration: the norm of coefficients x is
+    sum_i (U x)_i^2 / (D_i D_(i+1)) / s, which over the common
+    denominator W = lcm_i D_i D_(i+1) is sum_i w_i (U x)_i^2 / (s W)
+    with integer multipliers w_i = W / (D_i D_(i+1)).
     """
 
-    __slots__ = ("rank", "ambient", "vectors", "gram", "_fp")
+    __slots__ = ("rank", "ambient", "vectors", "gram", "covol_sq", "_fp")
 
     def __init__(self, vectors):
         vecs = tuple(frac_vector(v) for v in vectors)
@@ -61,6 +60,7 @@ class LatticeBasis:
             deltas, U = ldl_fraction_free(scaled)
         except ValueError:
             raise PreconditionError("basis vectors are linearly dependent") from None
+        self.covol_sq = Fraction(deltas[-1], s**self.rank)
         pairs = [deltas[i] * deltas[i + 1] for i in range(self.rank)]
         W = lcm(*pairs)
         self._fp = (U, tuple(W // p for p in pairs), s * W)
@@ -87,7 +87,7 @@ class GreedyBasis:
 
 def covol_sq(L):
     """Squared covolume det(gram); equals index^2 for sublattices of Z^k."""
-    return det_fraction(L.gram)
+    return L.covol_sq
 
 
 def short_coefficient_vectors(L, bound):
@@ -100,7 +100,7 @@ def short_coefficient_vectors(L, bound):
     bound = Fraction(bound)
     if bound <= 0:
         return []
-    U, weights, scale = L._fp
+    U, mults, scale = L._fp
     k = L.rank
     out = []
     x = [0] * k
@@ -108,7 +108,7 @@ def short_coefficient_vectors(L, bound):
     def rec(i, rem, acc):
         # levels i+1..k-1 are fixed; rem is the leftover scaled budget and
         # level i adds w_i z^2 with z = x_i D_(i+1) + n
-        row, w, piv = U[i], weights[i], U[i][i]
+        row, w, piv = U[i], mults[i], U[i][i]
         n = sum(row[j] * x[j] for j in range(i + 1, k))
         r = isqrt(rem // w)
         for xi in range(-((r + n) // piv), (r - n) // piv + 1):
@@ -187,31 +187,31 @@ def lattice_coefficients(L, v):
 def complete_to_unimodular(coeffs):
     """Integer matrix with first row coeffs and determinant +-1.
 
-    Requires gcd(coeffs) = 1.  Built by reducing the row to e_1 with
-    tracked column operations and inverting the accumulated transform.
+    Requires gcd(coeffs) = 1.  The row is reduced to e_1 by column
+    operations C, and C^-1, whose first row is coeffs, is built alongside
+    by applying each step's inverse as integer row operations.
     """
     k = len(coeffs)
     if vec_gcd(coeffs) != 1:
         raise PreconditionError("coefficient vector is not primitive")
     r = list(coeffs)
-    M = identity_int(k)
+    U = identity_int(k)
     for t in range(1, k):
         a, b = r[0], r[t]
         if b == 0:
             continue
         g, u, v = ext_gcd(a, b)
         aa, bb = a // g, b // g
-        for row in M:
-            c0, ct = row[0], row[t]
-            row[0] = u * c0 + v * ct
-            row[t] = -bb * c0 + aa * ct
+        # columns (0, t) <- (u c0 + v ct, -bb c0 + aa ct), whose inverse
+        # on rows (0, t) is [[aa, bb], [-v, u]]
+        U[0], U[t] = (
+            [aa * x + bb * y for x, y in zip(U[0], U[t])],
+            [-v * x + u * y for x, y in zip(U[0], U[t])],
+        )
         r[0], r[t] = g, 0
     if r[0] == -1:
-        for row in M:
-            row[0] = -row[0]
-        r[0] = 1
-    inv = inverse_fraction(M)
-    U = tuple(tuple(int(x) for x in row) for row in inv)
+        U[0] = [-x for x in U[0]]
+    U = tuple(map(tuple, U))
     if abs(det_int(U)) != 1 or U[0] != tuple(coeffs):
         raise InvariantError("unimodular completion failed")
     return U

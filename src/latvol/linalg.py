@@ -1,6 +1,6 @@
 """Exact rational and integer linear algebra helpers.
 
-Everything here is exact: Fraction arithmetic for rational matrices and
+Everything here is exact: Fraction arithmetic for the rational solve and
 Bareiss elimination for integer determinants and the fraction-free
 L D L^T that the lattice enumerations run on.  No floats enter any
 comparison.
@@ -38,28 +38,6 @@ def mat_mul(a, b):
         tuple(sum(a[i][t] * b[t][j] for t in range(m)) for j in range(p))
         for i in range(n)
     )
-
-
-def det_fraction(m):
-    """Determinant of a square matrix by exact fraction elimination."""
-    k = len(m)
-    a = [list(map(Fraction, row)) for row in m]
-    det = Fraction(1)
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, k):
-            if a[r][col]:
-                f = a[r][col] * inv
-                for c in range(col, k):
-                    a[r][c] -= f * a[col][c]
-    return det
 
 
 def det_int(m):
@@ -101,25 +79,6 @@ def solve_fraction(m, rhs):
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return tuple(a[i][k] for i in range(k))
-
-
-def inverse_fraction(m):
-    """Exact inverse; returns None when m is singular."""
-    k = len(m)
-    a = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(k)]
-         for i, row in enumerate(m)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[k:]) for row in a)
 
 
 def ldl_fraction_free(m):

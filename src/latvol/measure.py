@@ -27,6 +27,11 @@ from .hnf import count_sublattices, enumerate_hnf
 from .linalg import det_int, floor_sqrt_frac
 from .report import Table
 
+_GRID_CAP = 2_000_000
+_OUTSIDE_SAMPLES = 32
+# normalization_constant's Bareiss determinant is O(k^3) on a k x k list
+_NORMALIZATION_CAP = 100
+
 
 @dataclass
 class RegionCounter:
@@ -42,10 +47,11 @@ class RegionCounter:
     box: tuple
 
 
-def count_scaled_points(counter, grid_budget=2_000_000, box_samples=32):
+def count_scaled_points(counter):
     """Count the r-grid points of a region and return (count, N_r).
 
-    Iterates the integer grid of the bounding box, then spot-checks that
+    Iterates the integer grid of the bounding box (at most _GRID_CAP
+    points), then spot-checks at _OUTSIDE_SAMPLES points per face that
     membership vanishes one grid step outside the box (InvariantError
     otherwise, since the count would be untrustworthy).
     """
@@ -61,8 +67,8 @@ def count_scaled_points(counter, grid_budget=2_000_000, box_samples=32):
             raise PreconditionError("box has lo > hi")
         ranges.append(range(ceil(lo / r), floor(hi / r) + 1))
     total = prod(len(rg) for rg in ranges)
-    if total > grid_budget:
-        raise BudgetExceededError(f"grid of {total} points exceeds {grid_budget}")
+    if total > _GRID_CAP:
+        raise BudgetExceededError(f"grid of {total} points exceeds {_GRID_CAP}")
     count = 0
     for point in product(*ranges):
         if counter.membership(tuple(v * r for v in point)):
@@ -70,7 +76,7 @@ def count_scaled_points(counter, grid_budget=2_000_000, box_samples=32):
     rng = random.Random(310_810)
     for axis in range(counter.dimension):
         for outside in (ranges[axis].start - 1, ranges[axis].stop):
-            for _ in range(box_samples):
+            for _ in range(_OUTSIDE_SAMPLES):
                 pt = [rng.choice(rg) if len(rg) else 0 for rg in ranges]
                 pt[axis] = outside
                 if counter.membership(tuple(v * r for v in pt)):
@@ -181,6 +187,8 @@ def normalization_constant(k):
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    if k > _NORMALIZATION_CAP:
+        raise BudgetExceededError(f"normalization capped at k <= {_NORMALIZATION_CAP}")
     rows = []
     for i in range(k - 1):
         row = [0] * k

@@ -7,7 +7,6 @@ singular-set density.  tamagawa_partial multiplies the exact prime
 product into zeta values and is the one float-valued quantity.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -52,20 +51,6 @@ def primes_up_to(n):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     return [i for i in range(2, n + 1) if flags[i]]
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    p: int
-    k: int
-    value: Fraction
-
-    def __post_init__(self):
-        _require_prime(self.p)
-        if self.k < 1:
-            raise PreconditionError("k must be >= 1")
-        if self.value <= 0:
-            raise PreconditionError("local factors are positive")
 
 
 def gl_density(k, p):
@@ -243,7 +228,7 @@ def tamagawa_factors_table(k, P):
         running *= riemann_zeta(j)
     rows = []
     for p in primes_up_to(P):
-        factor = LocalFactor(p, k, sl_density(k, p))
-        running *= float(factor.value)
-        rows.append((p, factor.value, running))
+        factor = sl_density(k, p)
+        running *= float(factor)
+        rows.append((p, factor, running))
     return Table("tamagawa", ("p", "factor", "partial_product"), rows, {"k": k})

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import latvol
-from latvol import cli
+from latvol import cli, measure
 from latvol.errors import InvariantError
 from latvol.report import parse_csv
 
@@ -173,9 +173,15 @@ def test_k3_radius_beyond_float_exit_3(capsys):
 
 
 def test_budget_exit_4(capsys):
-    code, _, err = run(capsys, "cone-count", "--d-list", "100")
-    assert code == 4
-    assert json.loads(err)["error"]["type"] == "BudgetExceededError"
+    for argv in (
+        ("cone-count", "--d-list", "100"),
+        # about 2 * 10^11 hyperbola blocks: refused before the first one
+        ("count", "--k", "2", "--max-index", str(10**22)),
+        ("normalization", "--k", str(measure._NORMALIZATION_CAP + 1)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == "", argv
+        assert json.loads(err)["error"]["type"] == "BudgetExceededError"
 
 
 def test_invariant_exit_5(capsys, monkeypatch):

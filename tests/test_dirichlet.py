@@ -28,15 +28,10 @@ def test_series_construction_and_validation():
     assert list(f.coefficients) == [Fraction(1)] * 10
     g = DirichletSeries.shifted(5)
     assert list(g.coefficients) == [1, 2, 3, 4, 5]
-    assert g.weights is None
     d = DirichletSeries.delta(4)
     assert list(d.coefficients) == [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     with pytest.raises(PreconditionError):
         DirichletSeries([1, -1])
-    with pytest.raises(PreconditionError):
-        DirichletSeries([1, 1], weights=[2, 1])
-    with pytest.raises(PreconditionError):
-        DirichletSeries([1], weights=[Fraction(1, 2)])
 
 
 def test_from_csv(tmp_path):

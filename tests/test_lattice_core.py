@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -43,6 +44,11 @@ def test_covol_sq_is_squared_determinant():
     rng = random.Random(11)
     for _ in range(100):
         rows = H.rand_rows(rng, 3)
+        assert covol_sq(LatticeBasis(rows)) == H.det(rows) ** 2
+    # rational bases: covol_sq is read off the Gram matrix scaled to integers
+    for _ in range(100):
+        rows = H.rand_rows(rng, rng.choice((2, 3)))
+        rows = [[Fraction(x, rng.choice((1, 2, 3, 7))) for x in r] for r in rows]
         assert covol_sq(LatticeBasis(rows)) == H.det(rows) ** 2
 
 
@@ -225,15 +231,18 @@ def test_minbasis_brute_force_rank2():
 
 def test_complete_to_unimodular():
     rng = random.Random(16)
-    for _ in range(200):
-        k = rng.choice((2, 3))
-        coeffs = [rng.randint(-9, 9) for _ in range(k)]
-        from math import gcd
-        g = 0
-        for c in coeffs:
-            g = gcd(g, c)
-        if g != 1:
+    cases = [[rng.randint(-9, 9) for _ in range(rng.choice((2, 3)))] for _ in range(200)]
+    # the completion is built by integer row operations, so also take k = 4,
+    # entries up to 10^6, and unit rows (-e_1 ends in the sign flip)
+    for k, bound in ((4, 9), (2, 10**6), (3, 10**6), (4, 10**6)):
+        cases += [[rng.randint(-bound, bound) for _ in range(k)] for _ in range(100)]
+    cases += [[-1], [-1, 0], [-1, 0, 0, 0], [0, 0, 0, 1]]
+    checked = 0
+    for coeffs in cases:
+        if math.gcd(*coeffs) != 1:
             continue
         m = complete_to_unimodular(tuple(coeffs))
         assert list(m[0]) == coeffs
         assert abs(H.det([list(r) for r in m])) == 1
+        checked += 1
+    assert checked > 400

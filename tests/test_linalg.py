@@ -7,11 +7,9 @@ import helpers as H
 from latvol.errors import PreconditionError
 from latvol.linalg import (
     bernoulli,
-    det_fraction,
     det_int,
     ext_gcd,
     floor_sqrt_frac,
-    inverse_fraction,
     ldl_fraction_free,
     power_sum,
     solve_fraction,
@@ -25,13 +23,6 @@ def test_det_int_matches_cofactor_expansion():
         k = rng.choice((2, 3, 4))
         m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
         assert det_int(m) == H.det(m)
-
-
-def test_det_fraction_agrees_with_det_int():
-    rng = random.Random(2)
-    for _ in range(50):
-        m = [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-        assert det_fraction(m) == Fraction(det_int(m))
 
 
 def test_ext_gcd_bezout():
@@ -54,9 +45,6 @@ def test_solve_and_inverse_round_trip():
         assert [sum(Fraction(m[i][j]) * x[j] for j in range(3)) for i in range(3)] == [
             Fraction(r) for r in rhs
         ]
-        inv = inverse_fraction(m)
-        prod = H.mat_mul(m, inv)
-        assert prod == [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
 def test_ldl_fraction_free_reconstructs_gram():
@@ -117,9 +105,14 @@ def test_bernoulli_numbers():
 
 
 def test_power_sum_matches_brute_force():
-    for e in range(4):
+    # count --k K runs power_sum(K - 1, .), so cover exponents beyond 3
+    for e in range(8):
         for n in (0, 1, 2, 10, 37):
             assert power_sum(e, n) == sum(i**e for i in range(1, n + 1))
+    n = 10**12 + 7
+    assert power_sum(1, n) == n * (n + 1) // 2
+    assert power_sum(2, n) == n * (n + 1) * (2 * n + 1) // 6
+    assert power_sum(3, n) == (n * (n + 1) // 2) ** 2
 
 
 def test_vec_gcd():

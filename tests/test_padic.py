@@ -4,7 +4,6 @@ import pytest
 
 from latvol.errors import BudgetExceededError, InvariantError, PreconditionError
 from latvol.padic import (
-    LocalFactor,
     gl_count_modp,
     gl_density,
     index_local_factors,
@@ -26,14 +25,6 @@ def test_prime_utilities():
     assert len(primes_up_to(100)) == 25
     with pytest.raises(BudgetExceededError):
         primes_up_to(10**7)
-
-
-def test_local_factor_validation():
-    LocalFactor(2, 2, Fraction(3, 8))
-    with pytest.raises(PreconditionError):
-        LocalFactor(4, 2, Fraction(1))
-    with pytest.raises(PreconditionError):
-        LocalFactor(2, 0, Fraction(1))
 
 
 def test_gl_density_formula():
@@ -72,6 +63,10 @@ def test_sl_density_formula():
     assert sl_density(2, 2) == Fraction(3, 4)
     assert sl_density(3, 2) == Fraction(21, 32)
     assert sl_density(2, 5) == Fraction(24, 25)
+    # the only validation tamagawa_factors_table's factors get
+    for k, p in ((2, 4), (0, 2)):
+        with pytest.raises(PreconditionError):
+            sl_density(k, p)
 
 
 def test_local_zeta_values():
