@@ -94,14 +94,6 @@ def convolve(f, g, N):
     return DirichletSeries(c[1:])
 
 
-def dirichlet_psi(f, s):
-    """Float evaluation of the prefix: sum a_n n^(-s)."""
-    s = float(s)
-    return fsum(
-        float(a) * float(n) ** -s for n, a in enumerate(f.coefficients, start=1) if a
-    )
-
-
 _ZETA_TOL = 1e-12
 _EM_M = 32
 _EM_J = 10
@@ -222,12 +214,11 @@ def product_error_scan(T_max):
     return float(norm[i]), i + 1
 
 
-def abelian_limit(k, s_list, series=None):
+def abelian_limit(k, s_list):
     """Table of (s, (s - k) psi(s)) as s decreases to the pole at k.
 
-    psi defaults to subgroup_zeta(k, .), whose scaled values approach
-    zeta(2)...zeta(k); an explicit series prefix is evaluated instead
-    when given.
+    psi is subgroup_zeta(k, .), whose scaled values approach
+    zeta(2)...zeta(k).
     """
     if k < 1:
         raise PreconditionError("rank k must be >= 1")
@@ -238,6 +229,5 @@ def abelian_limit(k, s_list, series=None):
         raise PreconditionError("s_list must decrease toward the pole")
     rows = []
     for s in svals:
-        psi = subgroup_zeta(k, s) if series is None else dirichlet_psi(series, s)
-        rows.append((s, (s - k) * psi))
+        rows.append((s, (s - k) * subgroup_zeta(k, s)))
     return Table("abelian_limit", ("s", "scaled"), rows, {"k": k})

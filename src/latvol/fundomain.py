@@ -21,7 +21,7 @@ from math import gcd, isqrt, sqrt
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
-from .lattice import LatticeBasis, greedy_basis, short_coefficient_vectors
+from .lattice import LatticeBasis, greedy_basis, iter_short_coefficient_vectors
 from .linalg import det_int, ext_gcd, mat_mul, vec_gcd
 
 
@@ -40,10 +40,6 @@ def _as_rows(matrix):
 
 def _sign(x):
     return (x > 0) - (x < 0)
-
-
-def _floor_div(a, b):
-    return a // b
 
 
 def _ceil_div(a, b):
@@ -103,15 +99,21 @@ def _dot2(u, v):
 
 
 def _lagrange(b1, b2):
-    """Gauss-reduce a rank-2 basis: |b1| <= |b2| and |2 <b1,b2>| <= |b1|^2."""
+    """Gauss-reduce a rank-2 basis: |b1| <= |b2| and |2 <b1,b2>| <= |b1|^2.
+
+    Returns the reduced pair and its coefficient columns c1, c2 in the
+    input basis: b1' = c1[0] b1 + c1[1] b2, and likewise for b2'.
+    """
+    c1, c2 = (1, 0), (0, 1)
     while True:
         if _dot2(b1, b1) > _dot2(b2, b2):
-            b1, b2 = b2, b1
+            b1, b2, c1, c2 = b2, b1, c2, c1
         n1 = _dot2(b1, b1)
         q = (2 * _dot2(b1, b2) + n1) // (2 * n1)
         if q == 0:
-            return b1, b2
+            return b1, b2, c1, c2
         b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1])
+        c2 = (c2[0] - q * c1[0], c2[1] - q * c1[1])
 
 
 def _floor_sqrt_mul(d, v):
@@ -121,13 +123,25 @@ def _floor_sqrt_mul(d, v):
     return -isqrt(d * v * v - 1) - 1
 
 
+# Disc points the k = 2 search may scan, 12x its largest tested use:
+# diag(10^8 + r, 1) charges 40,001, while 20,000 sampled Hermite forms with
+# d <= 10^5 charged at most 434.  diag(10^10, 1) charges 400,001 and
+# diag(10^11, 1) 894,427.
+_K2_BUDGET = 500_000
+
+
 def _k2_first_columns(b1, b2, d, c, R):
     """Coefficients (x, y), gcd(x, y) = 1, of every u = x b1 + y b2 with
-    |u - c e1|^2 <= R, where d = b1 x b2 > 0."""
+    |u - c e1|^2 <= R, where d = b1 x b2 > 0.
+
+    Each row's x-range is charged against _K2_BUDGET before it is scanned
+    (row y = 0 offers only x = +-1 and charges 2).
+    """
     n1 = _dot2(b1, b1)
+    spent = 0
     # y d = b1 x u = b1 x (u - c e1) - c b1[1], and |b1 x v| <= |b1| |v|
     S = isqrt(n1 * R)
-    for y in range(_ceil_div(-S - c * b1[1], d), _floor_div(S - c * b1[1], d) + 1):
+    for y in range(_ceil_div(-S - c * b1[1], d), (S - c * b1[1]) // d + 1):
         # |x b1 + v|^2 <= R with v = y b2 - c e1 is a quadratic in x
         v = (y * b2[0] - c, y * b2[1])
         h = _dot2(b1, v)
@@ -135,7 +149,10 @@ def _k2_first_columns(b1, b2, d, c, R):
         if disc < 0:
             continue
         s = isqrt(disc)
-        lo, hi = _ceil_div(-h - s, n1), _floor_div(-h + s, n1)
+        lo, hi = _ceil_div(-h - s, n1), (-h + s) // n1
+        spent += 2 if y == 0 else max(hi - lo + 1, 0)
+        if spent > _K2_BUDGET:
+            raise BudgetExceededError(f"k = 2 reduction exceeded budget {_K2_BUDGET}")
         if y == 0:
             yield from ((x, 0) for x in (-1, 1) if lo <= x <= hi)
             continue
@@ -172,43 +189,14 @@ def _k2_score_column(best, b1, b2, d, x, y):
             _keep(best, c, (a, tr, M, ((x, al0 + t * x), (y, be0 + t * y))))
 
 
-def _columns(rows):
-    k = len(rows)
-    return [tuple(rows[i][j] for i in range(k)) for j in range(k)]
+def _transpose(m):
+    return tuple(zip(*m))
 
 
-def _rows_from_columns(cols):
-    k = len(cols)
-    return tuple(tuple(cols[j][i] for j in range(k)) for i in range(k))
-
-
-def _adjugate(rows):
-    """adj(A) = det(A) A^(-1) for k = 2, 3; for k = 3 its rows are the
-    cross products of A's columns."""
-    if len(rows) == 2:
-        (a, b), (c, e) = rows
-        return ((e, -b), (-c, a))
-    c0, c1, c2 = _columns(rows)
-    return (_cross(c1, c2), _cross(c2, c0), _cross(c0, c1))
-
-
-def _change_of_basis(rows, d, red_cols):
-    """Integer U = adj(A) B_red / d with A U = B_red; requires det B_red = d."""
-    U = []
-    for row in mat_mul(_adjugate(rows), _rows_from_columns(red_cols)):
-        out = []
-        for x in row:
-            q, r = divmod(x, d)
-            if r:
-                raise InvariantError("reduced basis left the column lattice")
-            out.append(q)
-        U.append(tuple(out))
-    return tuple(U)
-
-
-def _finish(rows, d, best, red_cols):
+def _finish(rows, best, U):
+    """The tie-broken best (a, tr, M, gp), with gp given on the reduced
+    basis A U, as ReduceResult(U gp, M)."""
     a, b, M, gp = min(best, key=lambda c: c[2])
-    U = _change_of_basis(rows, d, red_cols)
     gamma = mat_mul(U, gp)
     if det_int(gamma) != 1 or mat_mul(rows, gamma) != M:
         raise InvariantError("reduction produced an inconsistent witness")
@@ -224,10 +212,11 @@ def _keep(best, c, cand):
 
 def _reduce_k2(rows):
     d = det_int(rows)
-    cols = _columns(rows)
-    b1, b2 = _lagrange(cols[0], cols[1])
+    cols = _transpose(rows)
+    b1, b2, c1, c2 = _lagrange(cols[0], cols[1])
     if b1[0] * b2[1] - b1[1] * b2[0] < 0:
         b2 = (-b2[0], -b2[1])
+        c2 = (-c2[0], -c2[1])
     # start point: the quarter turns (b1 b2) J^i, J = ((0, -1), (1, 0)),
     # share |M|_F^2 = |b1|^2 + |b2|^2, so the largest trace is the best
     a0 = _dot2(b1, b1) + _dot2(b2, b2)
@@ -243,7 +232,7 @@ def _reduce_k2(rows):
     best = []
     for x, y in _k2_first_columns(b1, b2, d, isqrt(d), r * r):
         _k2_score_column(best, b1, b2, d, x, y)
-    return _finish(rows, d, best, [b1, b2])
+    return _finish(rows, best, _transpose((c1, c2)))
 
 
 def _cross(u, v):
@@ -264,23 +253,18 @@ def _mat_vec3(A, v):
 
 def _reduce_k3(rows, budget):
     d = det_int(rows)
-    g = greedy_basis(LatticeBasis(_columns(rows)))
-    vecs = []
-    for v in g.vectors:
-        if any(Fraction(x).denominator != 1 for x in v):
-            raise InvariantError("greedy basis left the integer lattice")
-        vecs.append(tuple(int(x) for x in v))
-    if det_int(_rows_from_columns(vecs)) == -d:
-        vecs[2] = tuple(-x for x in vecs[2])
-    if det_int(_rows_from_columns(vecs)) != d:
-        raise InvariantError("greedy basis does not span the column lattice")
+    coeffs = list(greedy_basis(LatticeBasis(_transpose(rows))).coeffs)
+    if det_int(coeffs) < 0:
+        coeffs[2] = tuple(-x for x in coeffs[2])
+    # the greedy vectors, columns of A U with U = (coeffs)^T, det U = 1
+    vecs = [_mat_vec3(rows, c) for c in coeffs]
     norms = [sum(x * x for x in v) for v in vecs]
     a0 = sum(norms)
     b0 = None
     for perm in permutations(range(3)):
         for signs in product((1, -1), repeat=3):
             cols3 = [tuple(s * x for x in vecs[p]) for s, p in zip(signs, perm)]
-            if det_int(_rows_from_columns(cols3)) != d:
+            if det_int(_transpose(cols3)) != d:
                 continue
             tr = sum(cols3[i][i] for i in range(3))
             if b0 is None or _cmp_keys(a0, tr, a0, b0, d, 3) < 0:
@@ -296,21 +280,23 @@ def _reduce_k3(rows, budget):
         raise PreconditionError(
             "k = 3 reduction needs det and |M|_F^2 of its start point to fit a float"
         ) from None
-    lam1 = g.alphas_sq[0]
-    if lam1.denominator != 1:
-        raise InvariantError("integer lattice with fractional minimum")
-    lam1 = lam1.numerator
+    lam1 = norms[0]
     LB = LatticeBasis(vecs)
     G = tuple(tuple(int(x) for x in row) for row in LB.gram)
     # row j of the basis matrix: M_jj = c_j . e_j for M = (vecs) (c1 c2 c3)
-    e = _rows_from_columns(vecs)
+    e = _transpose(vecs)
     cap1 = R2 - 2 * lam1
-    # per primitive short vector: c, |c|^2, G c and c . e_j for j = 0, 1, 2
-    cands = [
-        (c, int(n), _mat_vec3(G, c), _mat_vec3(e, c))
-        for c, n in short_coefficient_vectors(LB, Fraction(cap1))
-        if vec_gcd(c) == 1
-    ]
+    # per primitive short vector: c, |c|^2, G c and c . e_j for j = 0, 1, 2.
+    # R2 >= |M0|_F^2 >= 3 lam1, so every candidate pairs at least with the
+    # shortest vector below and costs an op there: refusing past `budget`
+    # candidates as they come out moves no outcome and bounds the listing.
+    cands = []
+    for c, n in iter_short_coefficient_vectors(LB, cap1):
+        if vec_gcd(c) != 1:
+            continue
+        if len(cands) == budget:
+            raise BudgetExceededError(f"k = 3 reduction exceeded budget {budget}")
+        cands.append((c, int(n), _mat_vec3(G, c), _mat_vec3(e, c)))
     cands.sort(key=lambda cand: cand[1])
     ops = 0
     best = []
@@ -346,7 +332,7 @@ def _reduce_k3(rows, budget):
             # tr M = ec1[0] + ec2[1] + w . e_2 with w = y0 + t1 c1 + t2 c2
             tr12 = ec1[0] + ec2[1] + _dot3(y0, e[2])
             a12 = n1c + n2c
-            for t2 in range(_ceil_div(B2 - s22, A2), _floor_div(B2 + s22, A2) + 1):
+            for t2 in range(_ceil_div(B2 - s22, A2), (B2 + s22) // A2 + 1):
                 ops += 1
                 if ops > budget:
                     raise BudgetExceededError(
@@ -360,16 +346,16 @@ def _reduce_k3(rows, budget):
                 s1 = isqrt(disc1)
                 tr2 = tr12 + t2 * ec2[2]
                 # the t1 range is exact: every w in it has q3 = |w|_G^2 <= rem3
-                for t1 in range(_ceil_div(-cen - s1, n1c), _floor_div(-cen + s1, n1c) + 1):
+                for t1 in range(_ceil_div(-cen - s1, n1c), (-cen + s1) // n1c + 1):
                     a = a12 + base3 + t1 * (2 * cen + n1c * t1)
                     tr = tr2 + t1 * ec1[2]
                     c = _cmp_keys(a, tr, best[0][0], best[0][1], d, 3) if best else -1
                     if c > 0:
                         continue
                     w = tuple(y0[i] + t1 * c1[i] + t2 * c2[i] for i in range(3))
-                    gp = _rows_from_columns([c1, c2, w])
+                    gp = _transpose((c1, c2, w))
                     _keep(best, c, (a, tr, mat_mul(e, gp), gp))
-    return _finish(rows, d, best, vecs)
+    return _finish(rows, best, _transpose(coeffs))
 
 
 def reduce_to_F(A, k3_budget=None):

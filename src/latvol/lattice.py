@@ -74,15 +74,13 @@ class GreedyBasis:
     """Output of the greedy economical-basis procedure.
 
     alphas_sq[i] is the exact square of alpha_{i+1} = covol(L_i / L_{i-1});
-    alphas reports the float square roots for display.
+    coeffs[i] holds the integer coefficients of vectors[i] in the input
+    basis, so the rows of coeffs form a unimodular matrix.
     """
 
     vectors: tuple
     alphas_sq: tuple
-
-    @property
-    def alphas(self):
-        return tuple(float(a) ** 0.5 for a in self.alphas_sq)
+    coeffs: tuple
 
 
 def covol_sq(L):
@@ -90,19 +88,19 @@ def covol_sq(L):
     return L.covol_sq
 
 
-def short_coefficient_vectors(L, bound):
-    """All nonzero integer coefficient vectors c with |sum c_i b_i|^2 <= bound.
+def iter_short_coefficient_vectors(L, bound):
+    """Every nonzero integer coefficient vector c with |sum c_i b_i|^2 <= bound.
 
     Exact Fincke-Pohst style enumeration on the scaled integer Gram
-    minors; both signs of every vector are produced.  Returns a list of
-    (coeffs, norm_sq) with norm_sq a Fraction.
+    minors; both signs of every vector are produced, one at a time, so a
+    caller may stop early.  Yields (coeffs, norm_sq) with norm_sq a
+    Fraction.
     """
     bound = Fraction(bound)
     if bound <= 0:
-        return []
+        return
     U, mults, scale = L._fp
     k = L.rank
-    out = []
     x = [0] * k
 
     def rec(i, rem, acc):
@@ -117,13 +115,17 @@ def short_coefficient_vectors(L, bound):
             x[i] = xi
             if i == 0:
                 if any(x):
-                    out.append((tuple(x), Fraction(acc + contrib, scale)))
+                    yield tuple(x), Fraction(acc + contrib, scale)
             else:
-                rec(i - 1, rem - contrib, acc + contrib)
+                yield from rec(i - 1, rem - contrib, acc + contrib)
         x[i] = 0
 
-    rec(k - 1, bound.numerator * scale // bound.denominator, 0)
-    return out
+    yield from rec(k - 1, bound.numerator * scale // bound.denominator, 0)
+
+
+def short_coefficient_vectors(L, bound):
+    """The list of `iter_short_coefficient_vectors(L, bound)`."""
+    return list(iter_short_coefficient_vectors(L, bound))
 
 
 def _canonical_sign(coeffs):
@@ -142,6 +144,22 @@ def _coeffs_to_vector(L, coeffs):
     )
 
 
+def _shortest(L):
+    """shortest_vector's (vector, norm^2) and the vector's coefficients."""
+    start = min(L.gram[i][i] for i in range(L.rank))
+    cands = short_coefficient_vectors(L, start)
+    best = min(n for _, n in cands)
+    # both signs of every minimizer are listed; keep the canonical one
+    found = []
+    for coeffs, n in cands:
+        if n == best:
+            v = _coeffs_to_vector(L, coeffs)
+            if v == _canonical_sign(v):
+                found.append((v, coeffs))
+    v, x = min(found)
+    return v, best, x
+
+
 def shortest_vector(L):
     """A nonzero lattice vector of minimal length, with its exact norm^2.
 
@@ -149,21 +167,8 @@ def shortest_vector(L):
     positive first nonzero coordinate, the lexicographically smallest
     coordinate vector.
     """
-    start = min(L.gram[i][i] for i in range(L.rank))
-    cands = short_coefficient_vectors(L, start)
-    best = min(n for _, n in cands)
-    vecs = set()
-    for coeffs, n in cands:
-        if n == best:
-            v = _coeffs_to_vector(L, coeffs)
-            for c in v:
-                if c > 0:
-                    break
-                if c < 0:
-                    v = tuple(-y for y in v)
-                    break
-            vecs.add(v)
-    return min(vecs), best
+    v, n, _ = _shortest(L)
+    return v, n
 
 
 def lattice_coefficients(L, v):
@@ -217,12 +222,8 @@ def complete_to_unimodular(coeffs):
     return U
 
 
-def _quotient_data(L, v):
-    """Shared setup for quotient and minimal_lift.
-
-    Returns (coeffs of v, completed rows u_1..u_k in ambient coords,
-    projected rows w_2..w_k, |v|^2).
-    """
+def _primitive_coefficients(L, v):
+    """v as Fractions and its coefficients, checked primitive in L (rank >= 2)."""
     if L.rank < 2:
         raise PreconditionError("quotient needs rank >= 2")
     v = frac_vector(v)
@@ -233,18 +234,39 @@ def _quotient_data(L, v):
         raise PreconditionError("cannot quotient by the zero vector")
     if vec_gcd(coeffs) != 1:
         raise PreconditionError("vector is not primitive in the lattice")
-    U = complete_to_unimodular(coeffs)
-    rows = [
-        tuple(sum(Fraction(U[i][j]) * L.vectors[j][a] for j in range(L.rank))
-              for a in range(L.ambient))
-        for i in range(L.rank)
-    ]
+    return v, coeffs
+
+
+def _quotient(L, v, x):
+    """(L / Zv, U) for v with coefficients x: the quotient's basis is rows
+    1..k-1 of U = complete_to_unimodular(x) projected orthogonally to v."""
+    U = complete_to_unimodular(x)
     vv = dot(v, v)
     projected = []
-    for u in rows[1:]:
+    for row in U[1:]:
+        u = _coeffs_to_vector(L, row)
         t = dot(u, v) / vv
         projected.append(tuple(ua - t * va for ua, va in zip(u, v)))
-    return coeffs, rows, projected, vv
+    return LatticeBasis(projected), U
+
+
+def _lift(L, v, x, U, qc, wbar):
+    """Minimal lift of wbar = sum qc_i Q_i in Q = L / Zv (see `_quotient`),
+    with its coefficients sum qc_i U[i+1] + t x in L."""
+    c0 = [sum(q * U[i + 1][j] for i, q in enumerate(qc)) for j in range(L.rank)]
+    w0 = _coeffs_to_vector(L, c0)
+    vv = dot(v, v)
+    tstar = -dot(w0, v) / vv
+    tf = tstar.numerator // tstar.denominator
+    cands = []
+    for t in (tf, tf + 1):
+        w = tuple(wa + t * va for wa, va in zip(w0, v))
+        cands.append((dot(w, w), w, tuple(c + t * xc for c, xc in zip(c0, x))))
+    nmin = min(n for n, _, _ in cands)
+    n, w, coeffs = min(c for c in cands if c[0] == nmin)
+    if n > dot(wbar, wbar) + vv / 4:
+        raise InvariantError("lift bound violated")
+    return w, coeffs
 
 
 def quotient(L, v):
@@ -253,8 +275,8 @@ def quotient(L, v):
     v must be a primitive lattice vector; covolume multiplicativity
     covol_sq(L) = |v|^2 * covol_sq(L/Zv) then holds exactly.
     """
-    _, _, projected, _ = _quotient_data(L, v)
-    return LatticeBasis(projected)
+    v, x = _primitive_coefficients(L, v)
+    return _quotient(L, v, x)[0]
 
 
 def minimal_lift(L, v, wbar):
@@ -263,29 +285,13 @@ def minimal_lift(L, v, wbar):
     Satisfies |w|^2 <= |wbar|^2 + |v|^2 / 4 exactly.  Ties between the
     two nearest lifts are broken lexicographically.
     """
-    _, rows, projected, vv = _quotient_data(L, v)
+    v, x = _primitive_coefficients(L, v)
+    Q, U = _quotient(L, v, x)
     wbar = frac_vector(wbar)
-    Q = LatticeBasis(projected)
     qc = lattice_coefficients(Q, wbar)
     if qc is None:
         raise PreconditionError("wbar is not in the quotient lattice")
-    v = frac_vector(v)
-    w0 = tuple(
-        sum(Fraction(c) * rows[i + 1][a] for i, c in enumerate(qc))
-        for a in range(L.ambient)
-    )
-    tstar = -dot(w0, v) / vv
-    tf = tstar.numerator // tstar.denominator
-    cands = []
-    for t in (tf, tf + 1):
-        w = tuple(wa + t * va for wa, va in zip(w0, v))
-        cands.append((dot(w, w), w))
-    nmin = min(n for n, _ in cands)
-    w = min(wv for n, wv in cands if n == nmin)
-    wbar_sq = dot(wbar, wbar)
-    if dot(w, w) > wbar_sq + vv / 4:
-        raise InvariantError("lift bound violated")
-    return w
+    return _lift(L, v, x, U, qc, wbar)[0]
 
 
 def greedy_basis(L):
@@ -293,29 +299,28 @@ def greedy_basis(L):
 
     The alpha sequence records alpha_i^2 = covol_sq(L_i / L_{i-1});
     alpha_1^2 is the squared minimum and prod alphas_sq = covol_sq(L).
-    The output vectors generate L (checked via a unimodular change of
-    basis), and |v_i|^2 <= alpha_i^2 + (alpha_1^2 + .. + alpha_{i-1}^2)/4.
+    Each vector's coefficients are carried through the recursion: the
+    quotient's basis comes from a unimodular completion of v_1's
+    coefficients, so a lift's coefficients follow from its quotient
+    coefficients.  The output generates L (its coefficient rows have
+    det +-1 and recombine to its vectors), and
+    |v_i|^2 <= alpha_i^2 + (alpha_1^2 + .. + alpha_{i-1}^2)/4.
     """
-    v1, n1 = shortest_vector(L)
-    if L.rank == 1:
-        result = GreedyBasis(vectors=(v1,), alphas_sq=(n1,))
-    else:
-        Q = quotient(L, v1)
+    v1, n1, x = _shortest(L)
+    vectors, alphas_sq, coeffs = (v1,), (n1,), (x,)
+    if L.rank > 1:
+        Q, U = _quotient(L, v1, x)
         sub = greedy_basis(Q)
-        lifts = tuple(minimal_lift(L, v1, w) for w in sub.vectors)
-        result = GreedyBasis(
-            vectors=(v1,) + lifts,
-            alphas_sq=(n1,) + sub.alphas_sq,
-        )
-    change = []
-    for w in result.vectors:
-        c = lattice_coefficients(L, w)
-        if c is None:
-            raise InvariantError("greedy vector left the lattice")
-        change.append(c)
-    if abs(det_int(change)) != 1:
+        for qc, wbar in zip(sub.coeffs, sub.vectors):
+            w, c = _lift(L, v1, x, U, qc, wbar)
+            vectors += (w,)
+            coeffs += (c,)
+        alphas_sq += sub.alphas_sq
+    if abs(det_int(coeffs)) != 1 or any(
+        _coeffs_to_vector(L, c) != w for c, w in zip(coeffs, vectors)
+    ):
         raise InvariantError("greedy basis does not generate the lattice")
-    return result
+    return GreedyBasis(vectors=vectors, alphas_sq=alphas_sq, coeffs=coeffs)
 
 
 def minbasis_sq(L):

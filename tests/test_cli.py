@@ -178,6 +178,11 @@ def test_budget_exit_4(capsys):
         # about 2 * 10^11 hyperbola blocks: refused before the first one
         ("count", "--k", "2", "--max-index", str(10**22)),
         ("normalization", "--k", str(measure._NORMALIZATION_CAP + 1)),
+        # the k = 2 disc search charges each row before it scans it
+        ("reduce", "--matrix", f"{10**12},0;0,1"),
+        ("reduce", "--matrix", f"{10**320},0;0,1"),
+        # k = 3 counts short vectors as they are listed, not after
+        ("reduce", "--matrix", "1000,0,0;0,1,0;0,0,1", "--k3-budget", "1000"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == "", argv

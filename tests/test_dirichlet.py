@@ -9,7 +9,6 @@ from latvol.dirichlet import (
     DirichletSeries,
     abelian_limit,
     convolve,
-    dirichlet_psi,
     product_error_scan,
     product_error_table,
     riemann_zeta,
@@ -60,13 +59,6 @@ def test_summatory_exact():
     assert sigma_summatory(10) == 87
     for t in (1, 2, 17, 100, 299):
         assert sigma_summatory(t) == sum(sig[1 : t + 1])
-
-
-def test_dirichlet_psi_matches_direct_sum():
-    f = DirichletSeries.ones(2000)
-    got = dirichlet_psi(f, 2.0)
-    want = math.fsum(1 / n**2 for n in range(1, 2001))
-    assert abs(got - want) < 1e-14
 
 
 def test_riemann_zeta_against_mpmath():

@@ -188,11 +188,17 @@ def test_greedy_basis_pinned_and_unimodular():
     g = greedy_basis(LatticeBasis([(5, 3), (-8, 5)]))
     assert list(g.alphas_sq) == [34, Fraction(2401, 34)]
     rng = random.Random(14)
+    bases = [rand_basis(rng, 3) for _ in range(50)]
+    # rational bases: their quotient levels have rational Gram matrices
     for _ in range(50):
-        L = rand_basis(rng, 3)
+        rows = H.rand_rows(rng, rng.choice((2, 3)))
+        bases.append(LatticeBasis([[Fraction(x, rng.choice((1, 2, 3, 7))) for x in r] for r in rows]))
+    for L in bases:
         g = greedy_basis(L)
         coeffs = [lattice_coefficients(L, w) for w in g.vectors]
         assert all(c is not None for c in coeffs)
+        # the coefficients carried through the recursion are the solved ones
+        assert tuple(coeffs) == g.coeffs
         assert abs(H.det([list(c) for c in coeffs])) == 1
         for i in range(1, L.rank):
             slack = sum(g.alphas_sq[:i], Fraction(0)) / 4
