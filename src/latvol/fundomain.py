@@ -17,12 +17,12 @@ determinant matrices.
 
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .lattice import LatticeBasis, greedy_basis, iter_short_coefficient_vectors
-from .linalg import det_int, ext_gcd, mat_mul, vec_gcd
+from .linalg import det_int, ext_gcd, icbrt, mat_mul, vec_gcd
 
 
 class ReduceResult(NamedTuple):
@@ -251,6 +251,35 @@ def _mat_vec3(A, v):
     return (_dot3(A[0], v), _dot3(A[1], v), _dot3(A[2], v))
 
 
+# X = d^(1/3) is bracketed by icbrt(d 2^(3 m)) / 2^m with m = _CBRT_BITS
+_CBRT_BITS = 16
+
+
+def _dist_lower(S, x, n, uj):
+    """Least S^2 |u - X e_j|^2 over X S in [x, x + 1], given |u|^2 = n.
+
+    S^2 n - 2 S uj y + y^2 is convex in y = X S, so its least value on the
+    bracket is at the bracket point nearest its vertex y = S uj.
+    """
+    y = min(max(S * uj, x), x + 1)
+    return S * S * n - 2 * S * uj * y + y * y
+
+
+def _ball(Fs, S, x):
+    """A bound on |v|^2 for integer vectors v with S^2 |v - X e_j|^2 <= Fs.
+
+    |v| <= sqrt(Fs) / S + X < (isqrt(Fs) + 1 + x + 1) / S, and |v|^2 is an
+    integer, so it is at most the floor of that bound squared.
+    """
+    return (isqrt(Fs) + x + 2) ** 2 // (S * S)
+
+
+def _spend(ops, budget):
+    if ops >= budget:
+        raise BudgetExceededError(f"k = 3 reduction exceeded budget {budget}")
+    return ops + 1
+
+
 def _reduce_k3(rows, budget):
     d = det_int(rows)
     coeffs = list(greedy_basis(LatticeBasis(_transpose(rows))).coeffs)
@@ -258,8 +287,7 @@ def _reduce_k3(rows, budget):
         coeffs[2] = tuple(-x for x in coeffs[2])
     # the greedy vectors, columns of A U with U = (coeffs)^T, det U = 1
     vecs = [_mat_vec3(rows, c) for c in coeffs]
-    norms = [sum(x * x for x in v) for v in vecs]
-    a0 = sum(norms)
+    a0 = sum(_dot3(v, v) for v in vecs)
     b0 = None
     for perm in permutations(range(3)):
         for signs in product((1, -1), repeat=3):
@@ -269,46 +297,42 @@ def _reduce_k3(rows, budget):
             tr = sum(cols3[i][i] for i in range(3))
             if b0 is None or _cmp_keys(a0, tr, a0, b0, d, 3) < 0:
                 b0 = tr
-    # any f-minimizer M has |M|_F <= sqrt(f(M0)) d^(1/3) + sqrt(3) d^(1/3);
-    # with X = d^(1/3) and F = f(M0) X^2 = a0 - 2 b0 X + 3 X^2 that squares
-    # to F + 3 X^2 + 2 sqrt(3 F) X, inflated generously against float error
-    try:
-        X = d ** (1.0 / 3.0)
-        F = max(a0 - 2.0 * b0 * X + 3.0 * X * X, 0.0)
-        R2 = int((F + 3.0 * X * X + 2.0 * sqrt(3.0 * F) * X) * (1.0 + 1e-6)) + 2
-    except OverflowError:
-        raise PreconditionError(
-            "k = 3 reduction needs det and |M|_F^2 of its start point to fit a float"
-        ) from None
-    lam1 = norms[0]
+    # X = d^(1/3) has x <= X S < x + 1.  Every minimizer M, and every M tied
+    # with it, has sum_j |M_j - X e_j|^2 = |M - X I|_F^2 <= F = a0 - 2 b0 X
+    # + 3 X^2, the start point's value.  F is convex in X, so S^2 F <= Fs,
+    # its larger value at the two ends of the bracket; each column j of M
+    # then has S^2 |M_j - X e_j|^2 <= Fs less what the others take.
+    S = 1 << _CBRT_BITS
+    x = icbrt(d << 3 * _CBRT_BITS)
+    Fs = max(S * S * a0 - 2 * S * b0 * y + 3 * y * y for y in (x, x + 1))
     LB = LatticeBasis(vecs)
-    G = tuple(tuple(int(x) for x in row) for row in LB.gram)
+    G = tuple(tuple(int(g) for g in row) for row in LB.gram)
     # row j of the basis matrix: M_jj = c_j . e_j for M = (vecs) (c1 c2 c3)
     e = _transpose(vecs)
-    cap1 = R2 - 2 * lam1
-    # per primitive short vector: c, |c|^2, G c and c . e_j for j = 0, 1, 2.
-    # R2 >= |M0|_F^2 >= 3 lam1, so every candidate pairs at least with the
-    # shortest vector below and costs an op there: refusing past `budget`
-    # candidates as they come out moves no outcome and bounds the listing.
-    cands = []
-    for c, n in iter_short_coefficient_vectors(LB, cap1):
+    # primitive c, as (r, c, |c|^2, G c, B c), kept as a first (second)
+    # column when r, the least S^2 |B c - X e_1|^2 (e_2) over the bracket,
+    # is at most Fs; each one listed costs an op
+    ops = 0
+    firsts, seconds = [], []
+    for c, n in iter_short_coefficient_vectors(LB, _ball(Fs, S, x)):
         if vec_gcd(c) != 1:
             continue
-        if len(cands) == budget:
-            raise BudgetExceededError(f"k = 3 reduction exceeded budget {budget}")
-        cands.append((c, int(n), _mat_vec3(G, c), _mat_vec3(e, c)))
-    cands.sort(key=lambda cand: cand[1])
-    ops = 0
+        ops = _spend(ops, budget)
+        n = int(n)
+        u = _mat_vec3(e, c)
+        Gc = _mat_vec3(G, c)
+        for j, kept in ((0, firsts), (1, seconds)):
+            r = _dist_lower(S, x, n, u[j])
+            if r <= Fs:
+                kept.append((r, c, n, Gc, u))
+    firsts.sort()
+    seconds.sort()
     best = []
-    for c1, n1c, Gc1, ec1 in cands:
-        if n1c > cap1:
-            break
-        for c2, n2c, Gc2, ec2 in cands:
-            if n1c + n2c + lam1 > R2:
+    for r1, c1, n1c, Gc1, ec1 in firsts:
+        for r2, c2, n2c, Gc2, ec2 in seconds:
+            if r1 + r2 > Fs:
                 break
-            ops += 1
-            if ops > budget:
-                raise BudgetExceededError(f"k = 3 reduction exceeded budget {budget}")
+            ops = _spend(ops, budget)
             m = _cross(c1, c2)
             if m == (0, 0, 0) or vec_gcd(m) != 1:
                 continue
@@ -317,7 +341,8 @@ def _reduce_k3(rows, budget):
             if g2 != 1:
                 continue
             y0 = (cc * aa, cc * bb, dd)
-            rem3 = R2 - n1c - n2c
+            # the third column w = y0 + t1 c1 + t2 c2 has |w|^2 <= rem3
+            rem3 = _ball(Fs - r1 - r2, S, x)
             q12 = _dot3(c1, Gc2)
             p1 = _dot3(y0, Gc1)
             p2 = _dot3(y0, Gc2)
@@ -329,15 +354,11 @@ def _reduce_k3(rows, budget):
             if disc22 < 0:
                 continue
             s22 = isqrt(disc22)
-            # tr M = ec1[0] + ec2[1] + w . e_2 with w = y0 + t1 c1 + t2 c2
+            # tr M = ec1[0] + ec2[1] + w . e_2
             tr12 = ec1[0] + ec2[1] + _dot3(y0, e[2])
             a12 = n1c + n2c
             for t2 in range(_ceil_div(B2 - s22, A2), (B2 + s22) // A2 + 1):
-                ops += 1
-                if ops > budget:
-                    raise BudgetExceededError(
-                        f"k = 3 reduction exceeded budget {budget}"
-                    )
+                ops = _spend(ops, budget)
                 cen = p1 + q12 * t2
                 base3 = p0 + 2 * p2 * t2 + n2c * t2 * t2
                 disc1 = cen * cen - n1c * (base3 - rem3)
@@ -363,9 +384,7 @@ def reduce_to_F(A, k3_budget=None):
 
     Returns ReduceResult(gamma, rep) with A @ gamma = rep, det gamma = 1.
     k = 2 is guaranteed exact; k = 3 requires an explicit operation
-    budget and raises BudgetExceededError when the search outgrows it,
-    and PreconditionError when its search radius, set in floats, would
-    overflow a float.
+    budget and raises BudgetExceededError when the search outgrows it.
     """
     rows = _as_rows(A)
     k = len(rows)

@@ -196,14 +196,20 @@ def count_by_index(k, n):
     return rec(k, n)
 
 
-_SHORT_BUDGET = {2: 40_000, 3: 1_000}
+# HNF matrices one short-vector count may enumerate, about 190x criterion
+# 07's largest count_with_short_vector(2, 5, S), which enumerates
+# count_sublattices(2, 25) = 522.  Each costs a shortest-vector search:
+# count_with_short_vector(2, 18, 1) enumerates 86,618 in about 80 s.
+_SHORT_BUDGET = 100_000
 
 
 def count_with_short_vector(k, T, S):
     """Count sublattices of Z^k with index <= T^k and min <= T/S, exact.
 
     Enumerates HNF representatives and tests the shortest vector of each
-    column lattice; k is limited to 2 or 3 and T^k to a small budget.
+    column lattice; k is limited to 2 or 3, and a count that would
+    enumerate more than _SHORT_BUDGET matrices raises BudgetExceededError
+    before the first one.
     T and S may be ints, Fractions, or strings like "5/2"; floats are
     rejected so the threshold comparison stays exact.
     """
@@ -217,12 +223,14 @@ def count_with_short_vector(k, T, S):
         raise PreconditionError("need T > 0 and S >= 1")
     det_cap = T**k
     D = det_cap.numerator // det_cap.denominator
-    if D > _SHORT_BUDGET[k]:
-        raise BudgetExceededError(
-            f"T^k = {D} exceeds the enumeration budget {_SHORT_BUDGET[k]}"
-        )
     if D < 1:
         return 0
+    # there are at least D sublattices of index <= D, so D itself is a cheap
+    # first test before the exact number is counted
+    if D > _SHORT_BUDGET or count_sublattices(k, D) > _SHORT_BUDGET:
+        raise BudgetExceededError(
+            f"T^k = {D} needs more than {_SHORT_BUDGET} HNF matrices enumerated"
+        )
     min_cap = (T / S) ** 2
     count = 0
     for H in enumerate_hnf(k, D):

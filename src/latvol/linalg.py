@@ -119,6 +119,21 @@ def floor_sqrt_frac(x):
     return isqrt(x.numerator * x.denominator) // x.denominator
 
 
+def icbrt(n):
+    """floor(n^(1/3)) for an integer n >= 0, exact (Newton's method on ints)."""
+    if n < 0:
+        raise PreconditionError("cube root of a negative integer")
+    if n == 0:
+        return 0
+    # start above the root: n < 2^bits <= x^3
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
 def ext_gcd(a, b):
     """Extended gcd: returns (g, x, y) with a x + b y = g >= 0."""
     old_r, r = a, b

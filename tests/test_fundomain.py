@@ -173,6 +173,99 @@ def test_reduce_k3_matches_certified_enumeration():
         assert H.det([list(r) for r in res.gamma]) == 1
 
 
+def _random_k3(rng, lo, hi):
+    """Nonsingular 3 x 3 matrix with entries in [lo, hi]; the first two
+    columns are swapped when that makes the determinant positive."""
+    while True:
+        A = [[rng.randint(lo, hi) for _ in range(3)] for _ in range(3)]
+        d = H.det(A)
+        if d:
+            break
+    if d < 0:
+        A = [[r[1], r[0], r[2]] for r in A]
+    return A
+
+
+def _k3_pinned_inputs():
+    rng = random.Random(2004)
+    panel = [_random_k3(rng, -9, 9) for _ in range(15)]
+    rng = random.Random(3)
+    small = [_random_k3(rng, -9, 9) for _ in range(15)]
+    return panel + small + [_random_k3(rng, -40, 40) for _ in range(15)]
+
+
+def _parse(text):
+    return [[int(x) for x in row.split(",")] for row in text.split(";")]
+
+
+# (rep, gamma) of each of _k3_pinned_inputs(), captured from the search over
+# a ball around 0 before it was centred on the scaled identity
+K3_PINNED = [
+    # the k = 3 panel: seed 2004, entries +-9
+    ("7,2,0;1,4,-1;4,0,9", "-2,-1,-3;-2,-1,-2;-1,0,-1"),
+    ("8,-1,3;-2,10,1;-1,-3,3", "0,0,1;0,1,0;-1,1,-1"),
+    ("8,5,-5;-3,8,-2;3,-1,7", "-1,-1,0;-1,0,0;0,1,-1"),
+    ("13,-3,4;2,7,1;-1,1,8", "-1,0,0;-1,1,0;-1,0,-1"),
+    ("8,-4,-4;1,10,3;0,-3,6", "1,0,0;0,-1,0;0,-1,-1"),
+    ("8,-2,0;-3,12,2;2,-4,5", "2,-1,1;1,-1,0;0,1,0"),
+    ("4,2,1;1,3,0;0,0,5", "-2,-3,6;-1,-2,4;2,3,-5"),
+    ("5,0,-1;-2,9,1;0,-3,3", "-1,6,-1;-1,2,0;0,1,0"),
+    ("4,-5,-3;4,9,0;1,-2,4", "0,0,-1;1,0,1;0,-1,0"),
+    ("11,4,3;2,7,0;3,-3,8", "0,-1,1;-1,0,-1;1,0,0"),
+    ("9,-2,-4;-1,8,-1;0,-2,8", "-1,0,1;0,1,-1;-1,0,0"),
+    ("5,0,0;1,2,0;0,-1,3", "-1,1,0;5,-4,1;2,-1,0"),
+    ("7,2,0;-3,9,-4;-2,-1,9", "-1,0,1;-1,1,0;0,-1,0"),
+    ("10,1,-4;1,3,1;2,-1,7", "0,0,1;-1,-1,1;1,0,0"),
+    ("10,-2,-1;4,3,1;-2,0,6", "1,0,0;1,-1,0;-2,1,-1"),
+    # seed 3: fifteen with entries +-9, then fifteen with entries +-40
+    ("6,-1,3;1,4,0;0,-2,7", "1,0,2;0,-1,-1;1,1,2"),
+    ("7,2,-1;1,8,-3;0,-2,8", "-1,0,1;1,-1,0;0,1,0"),
+    ("1,0,2;-1,3,0;-1,0,4", "0,-1,-1;-1,-5,-5;2,11,10"),
+    ("8,0,1;1,6,-4;-4,3,10", "-1,0,1;0,0,1;0,1,1"),
+    ("9,5,1;2,8,0;-5,3,14", "1,0,-1;0,0,1;0,-1,-1"),
+    ("1,1,2;-1,7,1;-1,-3,6", "0,1,0;-1,3,-2;1,-4,3"),
+    ("5,0,1;4,7,3;1,-2,5", "-1,0,-2;2,1,2;-1,-1,-1"),
+    ("10,1,3;0,3,-3;1,1,9", "2,1,4;-1,-1,-3;0,0,-1"),
+    ("2,0,1;-1,1,2;0,-1,4", "17,-10,29;10,-6,17;-5,3,-9"),
+    ("4,0,0;-2,6,0;-2,-3,8", "0,0,1;-1,-1,0;1,0,-1"),
+    ("2,0,1;0,2,0;-1,0,2", "1,-3,4;-4,11,-16;5,-13,19"),
+    ("3,1,1;1,3,-1;-1,1,2", "0,4,-1;0,-1,0;-1,13,-3"),
+    ("6,-3,-1;-2,5,0;-1,0,4", "1,-2,1;0,2,-1;-1,1,0"),
+    ("7,3,1;-2,4,2;-1,-1,3", "1,2,1;0,2,1;0,-1,0"),
+    ("10,0,1;4,9,0;-1,-1,4", "2,-1,1;1,0,0;2,0,1"),
+    ("41,-1,-3;-13,53,-10;-15,20,17", "-1,1,1;2,-2,-1;0,1,0"),
+    ("22,-5,-10;10,35,13;9,7,40", "1,0,0;-1,0,-1;2,1,1"),
+    ("8,-6,2;2,30,7;0,6,24", "0,0,-1;-1,3,-3;0,1,1"),
+    ("7,-10,0;5,41,7;-10,-2,27", "-1,-1,-1;0,1,0;1,1,0"),
+    ("16,-7,1;0,18,6;8,0,17", "-2,3,0;-1,2,0;0,-1,-1"),
+    ("28,-13,-1;-1,37,-1;-16,4,35", "-1,1,1;0,1,0;0,0,-1"),
+    ("49,16,13;8,23,6;-2,11,36", "-1,0,0;2,1,0;-1,-1,-1"),
+    ("13,4,7;4,12,-1;3,3,9", "11,-7,8;7,-4,5;8,-5,6"),
+    ("28,4,3;-13,13,-3;-10,-6,35", "0,0,1;1,1,-2;-1,0,1"),
+    ("26,13,3;-4,32,-12;-3,12,21", "0,0,-1;1,1,0;1,0,0"),
+    ("40,-1,18;-25,56,16;12,6,54", "0,0,-1;-1,1,0;0,1,1"),
+    ("41,4,22;1,11,-8;-13,4,31", "0,0,1;-3,-1,1;1,0,0"),
+    ("44,-1,-8;-10,30,-5;1,-5,38", "-1,-1,1;-1,0,1;0,1,-1"),
+    ("11,5,-3;0,8,2;2,1,10", "3,3,2;-4,-3,-2;8,7,5"),
+    ("60,-12,26;-1,26,2;0,8,29", "-1,0,0;-1,-1,-1;1,0,1"),
+]
+
+
+def test_reduce_k3_pinned_results():
+    inputs = _k3_pinned_inputs()
+    assert len(inputs) == len(K3_PINNED)
+    for A, (rep, gamma) in zip(inputs, K3_PINNED):
+        res = reduce_to_F(A, k3_budget=10**7)
+        assert [list(r) for r in res.rep] == _parse(rep), A
+        assert [list(r) for r in res.gamma] == _parse(gamma), A
+    # certify four of them: rep = A gamma with det gamma = 1 lies in A's
+    # orbit, and the exhaustive search finds no orbit member nearer to I
+    for i in (6, 11, 25, 26):
+        rep, gamma = map(_parse, K3_PINNED[i])
+        assert H.mat_mul(inputs[i], gamma) == rep and H.det(gamma) == 1
+        assert H.orbit_minimum(rep)[0] == rep, inputs[i]
+
+
 def test_reduce_k3_diagonal_fixed_points():
     for n in range(1, 9):
         A = [[1, 0, 0], [0, 1, 0], [0, 0, n]]

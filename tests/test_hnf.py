@@ -136,5 +136,14 @@ def test_count_with_short_vector_brute_force():
 
 
 def test_count_with_short_vector_budget():
+    import time
+
     with pytest.raises(BudgetExceededError):
         count_with_short_vector(2, 10**6, 1)
+    # within the old T^k caps of 40,000 and 1,000, but about 1.3 * 10^9 and
+    # 6.6 * 10^8 HNF matrices: refused before the first one is built
+    for k, T in ((2, 200), (3, 10)):
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            count_with_short_vector(k, T, 1)
+        assert time.perf_counter() - start < 1, (k, T)

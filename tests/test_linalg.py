@@ -10,6 +10,7 @@ from latvol.linalg import (
     det_int,
     ext_gcd,
     floor_sqrt_frac,
+    icbrt,
     ldl_fraction_free,
     power_sum,
     solve_fraction,
@@ -23,6 +24,23 @@ def test_det_int_matches_cofactor_expansion():
         k = rng.choice((2, 3, 4))
         m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
         assert det_int(m) == H.det(m)
+
+
+def test_icbrt_is_the_floor_cube_root():
+    root = 0
+    for n in range(10**4 + 1):
+        if (root + 1) ** 3 <= n:
+            root += 1
+        assert icbrt(n) == root, n
+    # up to det ~ 10^330, past a reduction input like diag(10^320, 1, 1)
+    rng = random.Random(5)
+    cs = [2, 3, 10**110, 2**365, 10**110 + 7] + [rng.randint(2, 10**110) for _ in range(200)]
+    for c in cs:
+        assert icbrt(c**3 - 1) == c - 1, c
+        assert icbrt(c**3) == c, c
+        assert icbrt(c**3 + 1) == c, c
+    with pytest.raises(PreconditionError):
+        icbrt(-1)
 
 
 def test_ext_gcd_bezout():
