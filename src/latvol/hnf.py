@@ -8,7 +8,6 @@ distinct values of floor(T/n), which makes the threshold counts usable
 at T = 10^5 and beyond.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import isqrt
@@ -18,14 +17,17 @@ from .linalg import ext_gcd, identity_int, power_sum
 from .lattice import LatticeBasis, shortest_vector
 
 
-@dataclass(frozen=True)
 class HnfMatrix:
-    """Integer matrix in column Hermite normal form."""
+    """Integer matrix in column Hermite normal form.
 
-    k: int
-    entries: tuple
+    An immutable, hashable record with field-wise repr and equality.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("k", "entries")
+
+    def __init__(self, k, entries):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "entries", entries)
         e = self.entries
         if len(e) != self.k or any(len(row) != self.k for row in e):
             raise PreconditionError("entries must form a k x k matrix")
@@ -39,6 +41,23 @@ class HnfMatrix:
                     raise PreconditionError(
                         "HNF off-diagonal entries must lie in [0, diagonal)"
                     )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(k={self.k!r}, entries={self.entries!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.entries) == (other.k, other.entries)
+
+    def __hash__(self):
+        return hash((self.k, self.entries))
 
     @property
     def det(self):

@@ -9,9 +9,9 @@ realized by exact orthogonal projection, which is why the ambient
 dimension may exceed the rank.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from typing import NamedTuple
 
 from .errors import InvariantError, PreconditionError
 from .linalg import (
@@ -69,8 +69,7 @@ class LatticeBasis:
         return f"LatticeBasis(rank={self.rank}, vectors={self.vectors!r})"
 
 
-@dataclass(frozen=True)
-class GreedyBasis:
+class GreedyBasis(NamedTuple):
     """Output of the greedy economical-basis procedure.
 
     alphas_sq[i] is the exact square of alpha_{i+1} = covol(L_i / L_{i-1});

@@ -14,10 +14,10 @@ line, the exact lattice-point counts of the base segments.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd, prod
+from typing import NamedTuple
 
 from . import kernels
 from .dirichlet import volume_constant
@@ -33,8 +33,7 @@ _OUTSIDE_SAMPLES = 32
 _NORMALIZATION_CAP = 100
 
 
-@dataclass
-class RegionCounter:
+class RegionCounter(NamedTuple):
     """A region given by a membership test, a grid scale, and a bounding box.
 
     membership receives a tuple of exact rationals; box is a sequence of

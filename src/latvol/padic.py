@@ -97,12 +97,20 @@ def sl_count_modp(k, p, method="formula"):
     return sum(1 for m in _iter_matrices(k, p) if det_int(m) % p == 1)
 
 
+def _sl_density_terms(k, p):
+    """(prod_{j=2..k} (p^j - 1), p^(k(k+1)/2 - 1)), sl_density in lowest terms.
+
+    The pair is coprime because p divides no p^j - 1.
+    """
+    return prod(p**j - 1 for j in range(2, k + 1)), p ** (k * (k + 1) // 2 - 1)
+
+
 def sl_density(k, p):
     """(1 - p^-2)...(1 - p^-k) = #Sl_k(F_p) / p^(k^2 - 1); empty product at k = 1."""
     _require_prime(p)
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    return prod((1 - Fraction(1, p**j) for j in range(2, k + 1)), start=Fraction(1))
+    return Fraction(*_sl_density_terms(k, p))
 
 
 def local_zeta(k, p, s):
@@ -216,7 +224,12 @@ def tamagawa_partial(k, P):
 
 
 def tamagawa_factors_table(k, P):
-    """Rows (p, factor, running product) for convergence plots."""
+    """Rows (p, factor, running product) for convergence plots.
+
+    factor is sl_density(k, p) built from its integer terms; the sieve
+    already vouches that p is prime.  The running product multiplies in
+    num / den, the correctly rounded float of the factor.
+    """
     from .report import Table
 
     if k < 2:
@@ -228,7 +241,7 @@ def tamagawa_factors_table(k, P):
         running *= riemann_zeta(j)
     rows = []
     for p in primes_up_to(P):
-        factor = sl_density(k, p)
-        running *= float(factor)
-        rows.append((p, factor, running))
+        num, den = _sl_density_terms(k, p)
+        running *= num / den
+        rows.append((p, Fraction(num, den), running))
     return Table("tamagawa", ("p", "factor", "partial_product"), rows, {"k": k})

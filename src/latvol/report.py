@@ -9,25 +9,47 @@ serialize to identical bytes.
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import PreconditionError
 
 
-@dataclass
 class Table:
-    schema: str
-    columns: tuple
-    rows: list
-    params: dict = field(default_factory=dict)
+    """A named table: string column headers, rows of cells, and params.
 
-    def __post_init__(self):
-        self.columns = tuple(str(c) for c in self.columns)
-        self.rows = [tuple(r) for r in self.rows]
+    A plain record with field-wise repr and equality (a dataclass would
+    import inspect and ast on every cold CLI run).  params defaults to a
+    fresh empty dict.
+    """
+
+    __slots__ = ("schema", "columns", "rows", "params")
+
+    def __init__(self, schema, columns, rows, params=None):
+        self.schema = schema
+        self.columns = tuple(str(c) for c in columns)
+        self.rows = [tuple(r) for r in rows]
+        self.params = {} if params is None else params
         for r in self.rows:
             if len(r) != len(self.columns):
                 raise PreconditionError("row width does not match the header")
+
+    def __repr__(self):
+        return (
+            f"{type(self).__qualname__}(schema={self.schema!r}, "
+            f"columns={self.columns!r}, rows={self.rows!r}, params={self.params!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.schema, self.columns, self.rows, self.params) == (
+            other.schema,
+            other.columns,
+            other.rows,
+            other.params,
+        )
+
+    __hash__ = None
 
 
 def format_cell(v):

@@ -1,11 +1,28 @@
 """Shared test utilities, independent of the library internals.
 
 Everything here is written from the defining formulas so that library
-results can be checked against a second implementation.
+results can be checked against a second implementation, except
+run_python, which starts a fresh interpreter for import checks.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+
+import latvol
+
+
+def run_python(*args):
+    """Run a fresh interpreter on args, with latvol's source directory on
+    PYTHONPATH; returns the CompletedProcess with text output."""
+    src = os.path.dirname(os.path.dirname(latvol.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
 
 
 def sigma_table(n):

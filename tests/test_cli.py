@@ -1,10 +1,8 @@
+import hashlib
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
-import latvol
+import helpers as H
 from latvol import cli, measure
 from latvol.errors import InvariantError
 from latvol.report import parse_csv
@@ -142,13 +140,34 @@ def test_count_does_not_import_numpy():
         "code = cli.main(['count', '--k', '2', '--max-index', '100'])\n"
         "sys.stderr.write(f'{code} {\"numpy\" in sys.modules}')\n"
     )
-    src = os.path.dirname(os.path.dirname(latvol.__file__))
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    res = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    res = H.run_python("-c", script)
     assert res.stderr == "0 False"
+
+
+def test_cold_runs_do_not_import_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize on every cold run
+    for argv in (("constant", "--k", "2"), ("tamagawa", "--k", "3", "--p-max", "50")):
+        res = H.run_python("-X", "importtime", "-m", "latvol.cli", *argv)
+        assert res.returncode == 0, res.stderr
+        loaded = {line.rsplit("|", 1)[-1].strip() for line in res.stderr.splitlines()}
+        assert {"latvol.report", "latvol.padic", "fractions"} <= loaded
+        assert not loaded & {"dataclasses", "inspect"}, argv
+
+
+def test_tamagawa_golden_bytes(capsys):
+    # SHA-256 of stdout, pinned before the table was built from integer terms
+    golden = [
+        ("--k 3 --p-max 20000", "968e2df33b8332c68084f4daf12a79208e9ee41e77c22ee97dc0194e00852297"),
+        (
+            "--k 3 --p-max 20000 --format json",
+            "44e5ce4960f54f5a2216b1c177dc8f64d553d5aea1112c9cb57d99a3b419c280",
+        ),
+        ("--k 2 --p-max 100000", "b25d61270d87fb7fd9b69eb56fafc7f58d06ad5e229bfade9ec46684240476d5"),
+    ]
+    for argv, digest in golden:
+        code, out, err = run(capsys, "tamagawa", *argv.split())
+        assert (code, err) == (0, ""), argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_zero_rank_and_negative_budget_exit_3(capsys):

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
+from latvol.dirichlet import riemann_zeta
 from latvol.errors import BudgetExceededError, InvariantError, PreconditionError
 from latvol.padic import (
     gl_count_modp,
@@ -63,7 +65,8 @@ def test_sl_density_formula():
     assert sl_density(2, 2) == Fraction(3, 4)
     assert sl_density(3, 2) == Fraction(21, 32)
     assert sl_density(2, 5) == Fraction(24, 25)
-    # the only validation tamagawa_factors_table's factors get
+    # sl_density checks k and p; tamagawa_factors_table takes its primes
+    # from the sieve and builds the same value from integer terms
     for k, p in ((2, 4), (0, 2)):
         with pytest.raises(PreconditionError):
             sl_density(k, p)
@@ -124,3 +127,24 @@ def test_tamagawa_factors_table():
     assert [row[0] for row in t.rows] == [2, 3, 5, 7]
     assert t.rows[0][1] == Fraction(3, 4)
     assert abs(t.rows[-1][2] - tamagawa_partial(2, 10)) < 1e-13
+
+
+def test_tamagawa_factors_are_exact():
+    # every factor is the defining product, in lowest terms over
+    # p^(k(k+1)/2 - 1); the running column is the plain float loop
+    P = 2000
+    for k in range(2, 7):
+        t = tamagawa_factors_table(k, P)
+        assert [row[0] for row in t.rows] == primes_up_to(P)
+        running = 1.0
+        for j in range(2, k + 1):
+            running *= riemann_zeta(j)
+        for p, factor, partial in t.rows:
+            want = Fraction(1)
+            for j in range(2, k + 1):
+                want *= 1 - Fraction(1, p**j)
+            assert factor == want, (k, p)
+            assert factor.denominator == p ** (k * (k + 1) // 2 - 1), (k, p)
+            assert gcd(factor.numerator, factor.denominator) == 1
+            running *= float(sl_density(k, p))
+            assert partial == running, (k, p)
