@@ -77,7 +77,7 @@ def summatory(f, T):
     T = Fraction(T)
     if T > len(f):
         raise PreconditionError("T beyond the stored prefix")
-    return sum(f.coefficients[: floor(T)], Fraction(0))
+    return sum(f.coefficients[: max(floor(T), 0)], Fraction(0))
 
 
 def convolve(f, g, N):

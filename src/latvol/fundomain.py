@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .lattice import LatticeBasis, greedy_basis, iter_short_coefficient_vectors
-from .linalg import det_int, ext_gcd, icbrt, mat_mul, vec_gcd
+from .linalg import det_int, ext_gcd, gram_matrix, icbrt, mat_mul, vec_gcd
 
 
 class ReduceResult(NamedTuple):
@@ -306,7 +306,7 @@ def _reduce_k3(rows, budget):
     x = icbrt(d << 3 * _CBRT_BITS)
     Fs = max(S * S * a0 - 2 * S * b0 * y + 3 * y * y for y in (x, x + 1))
     LB = LatticeBasis(vecs)
-    G = tuple(tuple(int(g) for g in row) for row in LB.gram)
+    G = gram_matrix(vecs)
     # row j of the basis matrix: M_jj = c_j . e_j for M = (vecs) (c1 c2 c3)
     e = _transpose(vecs)
     # primitive c, as (r, c, |c|^2, G c, B c), kept as a first (second)

@@ -12,9 +12,10 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .linalg import ext_gcd, identity_int, power_sum
 from .lattice import LatticeBasis, shortest_vector
+from .padic import index_local_factors
 
 
 class HnfMatrix:
@@ -192,27 +193,34 @@ def count_sublattices(k, T):
     return _count_exact(k, T, {}, [0])
 
 
+# the same cap on k as measure.normalization_constant
+_INDEX_K_CAP = 100
+
+
 def count_by_index(k, n):
     """Number of sublattices of Z^k of index exactly n.
 
-    This is the n-th Dirichlet coefficient of zeta(s-k+1)...zeta(s):
-    c_k(n) = sum_{d | n} d^{k-1} c_{k-1}(n/d), multiplicative in n.
+    This is the n-th Dirichlet coefficient of zeta(s-k+1)...zeta(s),
+    multiplicative in n with c_k(p^e) the Gaussian binomial
+    [k-1+e, e]_p = prod_{i=1..e} (p^(k-1+i) - 1) / (p^i - 1).  n is
+    factored by `padic.index_local_factors`, which refuses n > 10^12
+    (BudgetExceededError), and k is capped at _INDEX_K_CAP.
     """
     if k < 1 or n < 1:
         raise PreconditionError("need k >= 1 and n >= 1")
-    divisors = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    divisors = sorted(set(divisors + [n // d for d in divisors]))
-
-    def rec(kk, m):
-        if kk == 1:
-            return 1
-        total = 0
-        for d in divisors:
-            if m % d == 0:
-                total += d ** (kk - 1) * rec(kk - 1, m // d)
-        return total
-
-    return rec(k, n)
+    if k > _INDEX_K_CAP:
+        raise BudgetExceededError(f"count by index capped at k <= {_INDEX_K_CAP}")
+    count = 1
+    for p, pe in index_local_factors(n).items():
+        num = den = pi = 1
+        while pi < pe:  # pi = p^i for i = 1..e
+            pi *= p
+            num *= pi * p ** (k - 1) - 1
+            den *= pi - 1
+        if num % den:
+            raise InvariantError("Gaussian binomial is not an integer")
+        count *= num // den
+    return count
 
 
 # HNF matrices one short-vector count may enumerate, about 190x criterion

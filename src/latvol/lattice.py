@@ -2,14 +2,15 @@
 
 Lattices are free abelian groups of rank k given by a rational basis in
 an ambient rational space of dimension >= k, with the standard inner
-product.  All stored quantities are squared and exact (Fractions, and
-the scaled integer Gram minors the enumeration runs on); square roots
-appear only in display helpers.  Quotient lattices are
-realized by exact orthogonal projection, which is why the ambient
+product.  Every search, projection, lift and solve runs on integer rows
+over one denominator (see `LatticeBasis`); Fractions are built only where
+input is parsed and where a public value is returned.  Quotient lattices
+are realized by exact orthogonal projection, which is why the ambient
 dimension may exceed the rank.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
@@ -18,31 +19,27 @@ from .linalg import (
     det_int,
     dot,
     ext_gcd,
-    frac_vector,
     gram_matrix,
     identity_int,
     ldl_fraction_free,
-    solve_fraction,
     vec_gcd,
 )
 
 
 class LatticeBasis:
-    """Basis of a rank-k lattice with cached exact Gram matrix.
+    """Basis of a rank-k lattice: integer rows B over a denominator q > 0.
 
-    With s the lcm of the Gram denominators, the scaled Gram matrix s G
-    has leading minors D_i and fraction-free L D L^T rows U.  `covol_sq`
-    is det G = D_k / s^k.  `_fp` caches the integer data of the
-    Fincke-Pohst enumeration: the norm of coefficients x is
-    sum_i (U x)_i^2 / (D_i D_(i+1)) / s, which over the common
-    denominator W = lcm_i D_i D_(i+1) is sum_i w_i (U x)_i^2 / (s W)
-    with integer multipliers w_i = W / (D_i D_(i+1)).
+    The vectors are B / q, q the lcm of the input denominators, so
+    tie-breaks on the rows are tie-breaks on the vectors.  G = B B^T has
+    leading minors D_i and fraction-free L D L^T rows U; `covol_sq` is
+    D_k / q^(2k).  `_fp` caches the Fincke-Pohst data: the norm of
+    coefficients x is sum_i w_i (U x)_i^2 / (q^2 W) with W the lcm of the
+    D_i D_(i+1) and integer w_i = W / (D_i D_(i+1)).  `vectors` and `gram`
+    (B / q and G / q^2) are built as Fractions on first use.
     """
 
-    __slots__ = ("rank", "ambient", "vectors", "gram", "covol_sq", "_fp")
-
     def __init__(self, vectors):
-        vecs = tuple(frac_vector(v) for v in vectors)
+        vecs = tuple(tuple(map(Fraction, v)) for v in vectors)
         if not vecs:
             raise PreconditionError("a lattice basis needs at least one vector")
         ambient = len(vecs[0])
@@ -50,20 +47,33 @@ class LatticeBasis:
             raise PreconditionError("basis vectors have mixed ambient dimensions")
         if len(vecs) > ambient:
             raise PreconditionError("more vectors than ambient dimension")
-        self.rank = len(vecs)
-        self.ambient = ambient
-        self.vectors = vecs
-        self.gram = gram_matrix(vecs)
-        s = lcm(*(x.denominator for row in self.gram for x in row))
-        scaled = [[x.numerator * (s // x.denominator) for x in row] for row in self.gram]
+        q = lcm(*(x.denominator for v in vecs for x in v))
+        self._init(tuple(tuple(x.numerator * (q // x.denominator) for x in v) for v in vecs), q)
+
+    def _init(self, rows, q):
+        self.rank = len(rows)
+        self.ambient = len(rows[0])
+        self._rows, self._q = rows, q
+        self._G = gram_matrix(rows)
         try:
-            deltas, U = ldl_fraction_free(scaled)
+            deltas, U = ldl_fraction_free(self._G)
         except ValueError:
             raise PreconditionError("basis vectors are linearly dependent") from None
-        self.covol_sq = Fraction(deltas[-1], s**self.rank)
         pairs = [deltas[i] * deltas[i + 1] for i in range(self.rank)]
         W = lcm(*pairs)
-        self._fp = (U, tuple(W // p for p in pairs), s * W)
+        self._fp = (U, tuple(W // p for p in pairs), q * q * W)
+
+    @cached_property
+    def vectors(self):
+        return tuple(_fractions(r, self._q) for r in self._rows)
+
+    @cached_property
+    def gram(self):
+        return tuple(_fractions(row, self._q**2) for row in self._G)
+
+    @property
+    def covol_sq(self):
+        return Fraction(self._fp[0][-1][-1], self._q ** (2 * self.rank))
 
     def __repr__(self):
         return f"LatticeBasis(rank={self.rank}, vectors={self.vectors!r})"
@@ -90,10 +100,9 @@ def covol_sq(L):
 def iter_short_coefficient_vectors(L, bound):
     """Every nonzero integer coefficient vector c with |sum c_i b_i|^2 <= bound.
 
-    Exact Fincke-Pohst style enumeration on the scaled integer Gram
-    minors; both signs of every vector are produced, one at a time, so a
-    caller may stop early.  Yields (coeffs, norm_sq) with norm_sq a
-    Fraction.
+    Exact Fincke-Pohst style enumeration on the integer Gram minors;
+    both signs of every vector are produced, one at a time, so a caller
+    may stop early.  Yields (coeffs, norm_sq) with norm_sq a Fraction.
     """
     bound = Fraction(bound)
     if bound <= 0:
@@ -114,12 +123,13 @@ def iter_short_coefficient_vectors(L, bound):
             x[i] = xi
             if i == 0:
                 if any(x):
-                    yield tuple(x), Fraction(acc + contrib, scale)
+                    yield tuple(x), acc + contrib
             else:
                 yield from rec(i - 1, rem - contrib, acc + contrib)
         x[i] = 0
 
-    yield from rec(k - 1, bound.numerator * scale // bound.denominator, 0)
+    for c, n in rec(k - 1, bound.numerator * scale // bound.denominator, 0):
+        yield c, Fraction(n, scale)
 
 
 def short_coefficient_vectors(L, bound):
@@ -127,36 +137,28 @@ def short_coefficient_vectors(L, bound):
     return list(iter_short_coefficient_vectors(L, bound))
 
 
-def _canonical_sign(coeffs):
-    for c in coeffs:
-        if c > 0:
-            return tuple(coeffs)
-        if c < 0:
-            return tuple(-y for y in coeffs)
-    return tuple(coeffs)
-
-
-def _coeffs_to_vector(L, coeffs):
+def _combine(coeffs, rows):
+    """The integer row sum_i coeffs_i rows_i."""
     return tuple(
-        sum(Fraction(c) * L.vectors[i][a] for i, c in enumerate(coeffs))
-        for a in range(L.ambient)
+        sum(c * row[a] for c, row in zip(coeffs, rows)) for a in range(len(rows[0]))
     )
 
 
+def _fractions(row, q):
+    return tuple(Fraction(a, q) for a in row)
+
+
 def _shortest(L):
-    """shortest_vector's (vector, norm^2) and the vector's coefficients."""
-    start = min(L.gram[i][i] for i in range(L.rank))
-    cands = short_coefficient_vectors(L, start)
-    best = min(n for _, n in cands)
-    # both signs of every minimizer are listed; keep the canonical one
-    found = []
-    for coeffs, n in cands:
-        if n == best:
-            v = _coeffs_to_vector(L, coeffs)
-            if v == _canonical_sign(v):
-                found.append((v, coeffs))
-    v, x = min(found)
-    return v, best, x
+    """(r.r, r, c) for shortest_vector's integer row r = c B over L's q."""
+    # the listing takes and returns Fractions; the choice runs on the rows
+    start = Fraction(min(L._G[i][i] for i in range(L.rank)), L._q**2)
+    # both signs of every minimizer are listed; keep the positive-led one
+    return min(
+        (dot(r, r), r, c)
+        for c, _ in short_coefficient_vectors(L, start)
+        for r in (_combine(c, L._rows),)
+        if next(a for a in r if a) > 0
+    )
 
 
 def shortest_vector(L):
@@ -166,26 +168,33 @@ def shortest_vector(L):
     positive first nonzero coordinate, the lexicographically smallest
     coordinate vector.
     """
-    v, n, _ = _shortest(L)
-    return v, n
+    n, r, _ = _shortest(L)
+    return _fractions(r, L._q), Fraction(n, L._q**2)
+
+
+def _locate(L, v):
+    """(r, c): v as an integer row r = q v (None if not integral) and c with
+    c B = r (None if v is not in L).  c is Cramer's rule on G c = B r,
+    floored: it recombines to r only if it is exact and r is in B's span."""
+    v = tuple(map(Fraction, v))
+    if len(v) != L.ambient:
+        raise PreconditionError("vector has wrong ambient dimension")
+    q = L._q
+    if any(q % x.denominator for x in v):
+        return None, None
+    r = tuple(x.numerator * (q // x.denominator) for x in v)
+    rhs = [dot(b, r) for b in L._rows]
+    det = L._fp[0][-1][-1]
+    c = tuple(
+        det_int([g[:i] + (s,) + g[i + 1 :] for g, s in zip(L._G, rhs)]) // det
+        for i in range(L.rank)
+    )
+    return r, (c if _combine(c, L._rows) == r else None)
 
 
 def lattice_coefficients(L, v):
     """Integer coefficients of v in L's basis, or None if v is not in L."""
-    v = frac_vector(v)
-    if len(v) != L.ambient:
-        raise PreconditionError("vector has wrong ambient dimension")
-    rhs = [dot(L.vectors[i], v) for i in range(L.rank)]
-    sol = solve_fraction(L.gram, rhs)
-    coeffs = []
-    for c in sol:
-        if c.denominator != 1:
-            return None
-        coeffs.append(c.numerator)
-    # the solve only matches inner products; confirm the vector itself
-    if _coeffs_to_vector(L, coeffs) != v:
-        return None
-    return tuple(coeffs)
+    return _locate(L, v)[1]
 
 
 def complete_to_unimodular(coeffs):
@@ -222,11 +231,10 @@ def complete_to_unimodular(coeffs):
 
 
 def _primitive_coefficients(L, v):
-    """v as Fractions and its coefficients, checked primitive in L (rank >= 2)."""
+    """v as an integer row over L's q and its coefficients, primitive in L."""
     if L.rank < 2:
         raise PreconditionError("quotient needs rank >= 2")
-    v = frac_vector(v)
-    coeffs = lattice_coefficients(L, v)
+    v, coeffs = _locate(L, v)
     if coeffs is None:
         raise PreconditionError("vector is not in the lattice")
     if all(c == 0 for c in coeffs):
@@ -237,33 +245,38 @@ def _primitive_coefficients(L, v):
 
 
 def _quotient(L, v, x):
-    """(L / Zv, U) for v with coefficients x: the quotient's basis is rows
-    1..k-1 of U = complete_to_unimodular(x) projected orthogonally to v."""
+    """(L / Zv, U) for v = x B: rows u = U[i] B, i >= 1, of U =
+    complete_to_unimodular(x), projected off v as (v.v) u - (u.v) v over q (v.v)."""
     U = complete_to_unimodular(x)
     vv = dot(v, v)
-    projected = []
-    for row in U[1:]:
-        u = _coeffs_to_vector(L, row)
-        t = dot(u, v) / vv
-        projected.append(tuple(ua - t * va for ua, va in zip(u, v)))
-    return LatticeBasis(projected), U
+    rows = []
+    for c in U[1:]:
+        u = _combine(c, L._rows)
+        uv = dot(u, v)
+        rows.append(tuple(vv * a - uv * b for a, b in zip(u, v)))
+    q = L._q * vv
+    g = gcd(q, *(a for row in rows for a in row))
+    Q = LatticeBasis.__new__(LatticeBasis)
+    Q._init(tuple(tuple(a // g for a in row) for row in rows), q // g)
+    return Q, U
 
 
-def _lift(L, v, x, U, qc, wbar):
-    """Minimal lift of wbar = sum qc_i Q_i in Q = L / Zv (see `_quotient`),
-    with its coefficients sum qc_i U[i+1] + t x in L."""
-    c0 = [sum(q * U[i + 1][j] for i, q in enumerate(qc)) for j in range(L.rank)]
-    w0 = _coeffs_to_vector(L, c0)
+def _lift(L, v, x, U, qc, wbar, wq):
+    """Minimal lift of wbar / wq = sum qc_i Q_i in Q = L / Zv (see
+    `_quotient`), as an integer row over L's q, with its coefficients
+    sum qc_i U[i+1] + t x in L."""
+    c0 = _combine(qc, U[1:])
+    w0 = _combine(c0, L._rows)
     vv = dot(v, v)
-    tstar = -dot(w0, v) / vv
-    tf = tstar.numerator // tstar.denominator
-    cands = []
-    for t in (tf, tf + 1):
-        w = tuple(wa + t * va for wa, va in zip(w0, v))
-        cands.append((dot(w, w), w, tuple(c + t * xc for c, xc in zip(c0, x))))
-    nmin = min(n for n, _, _ in cands)
-    n, w, coeffs = min(c for c in cands if c[0] == nmin)
-    if n > dot(wbar, wbar) + vv / 4:
+    t0 = -dot(w0, v) // vv
+    # the nearer of the two lifts, ties broken lexicographically
+    n, w, coeffs = min(
+        (dot(w, w), w, tuple(c + t * xc for c, xc in zip(c0, x)))
+        for t in (t0, t0 + 1)
+        for w in (tuple(a + t * b for a, b in zip(w0, v)),)
+    )
+    # |w|^2 <= |wbar|^2 + |v|^2 / 4, times 4 q^2 wq^2
+    if 4 * n * wq**2 > 4 * dot(wbar, wbar) * L._q**2 + vv * wq**2:
         raise InvariantError("lift bound violated")
     return w, coeffs
 
@@ -286,11 +299,29 @@ def minimal_lift(L, v, wbar):
     """
     v, x = _primitive_coefficients(L, v)
     Q, U = _quotient(L, v, x)
-    wbar = frac_vector(wbar)
-    qc = lattice_coefficients(Q, wbar)
+    wbar, qc = _locate(Q, wbar)
     if qc is None:
         raise PreconditionError("wbar is not in the quotient lattice")
-    return _lift(L, v, x, U, qc, wbar)[0]
+    return _fractions(_lift(L, v, x, U, qc, wbar, Q._q)[0], L._q)
+
+
+def _greedy(L):
+    """greedy_basis with integer rows over L's q, alpha_i^2 as (num, den)."""
+    n1, v1, x = _shortest(L)
+    rows, norms, coeffs = (v1,), ((n1, L._q**2),), (x,)
+    if L.rank > 1:
+        Q, U = _quotient(L, v1, x)
+        sub_rows, sub_norms, sub_coeffs = _greedy(Q)
+        for qc, wbar in zip(sub_coeffs, sub_rows):
+            w, c = _lift(L, v1, x, U, qc, wbar, Q._q)
+            rows += (w,)
+            coeffs += (c,)
+        norms += sub_norms
+    if abs(det_int(coeffs)) != 1 or any(
+        _combine(c, L._rows) != w for c, w in zip(coeffs, rows)
+    ):
+        raise InvariantError("greedy basis does not generate the lattice")
+    return rows, norms, coeffs
 
 
 def greedy_basis(L):
@@ -305,21 +336,9 @@ def greedy_basis(L):
     det +-1 and recombine to its vectors), and
     |v_i|^2 <= alpha_i^2 + (alpha_1^2 + .. + alpha_{i-1}^2)/4.
     """
-    v1, n1, x = _shortest(L)
-    vectors, alphas_sq, coeffs = (v1,), (n1,), (x,)
-    if L.rank > 1:
-        Q, U = _quotient(L, v1, x)
-        sub = greedy_basis(Q)
-        for qc, wbar in zip(sub.coeffs, sub.vectors):
-            w, c = _lift(L, v1, x, U, qc, wbar)
-            vectors += (w,)
-            coeffs += (c,)
-        alphas_sq += sub.alphas_sq
-    if abs(det_int(coeffs)) != 1 or any(
-        _coeffs_to_vector(L, c) != w for c, w in zip(coeffs, vectors)
-    ):
-        raise InvariantError("greedy basis does not generate the lattice")
-    return GreedyBasis(vectors=vectors, alphas_sq=alphas_sq, coeffs=coeffs)
+    rows, norms, coeffs = _greedy(L)
+    alphas_sq = tuple(Fraction(n, d) for n, d in norms)
+    return GreedyBasis(tuple(_fractions(w, L._q) for w in rows), alphas_sq, coeffs)
 
 
 def minbasis_sq(L):
@@ -341,14 +360,14 @@ def minbasis_sq(L):
     )
     lam1 = g.alphas_sq[0]
     cap = upper - (k - 1) * lam1
-    cands = {}
-    for coeffs, n in short_coefficient_vectors(L, cap):
-        if vec_gcd(coeffs) != 1:
-            continue
-        cands[_canonical_sign(coeffs)] = n
-    items = sorted(cands.items(), key=lambda cn: (cn[1], cn[0]))
-    vecs = [c for c, _ in items]
-    norms = [n for _, n in items]
+    # one sign of each primitive vector, the positive-led one
+    items = sorted(
+        (n, c)
+        for c, n in short_coefficient_vectors(L, cap)
+        if vec_gcd(c) == 1 and next(a for a in c if a) > 0
+    )
+    norms = [n for n, _ in items]
+    vecs = [c for _, c in items]
     m = len(vecs)
     best = upper
     if k == 2:

@@ -1,9 +1,9 @@
-"""Exact rational and integer linear algebra helpers.
+"""Exact integer linear algebra and number-theory helpers.
 
-Everything here is exact: Fraction arithmetic for the rational solve and
-Bareiss elimination for integer determinants and the fraction-free
-L D L^T that the lattice enumerations run on.  No floats enter any
-comparison.
+Everything here is exact: Bareiss elimination for integer determinants
+and the fraction-free L D L^T that the lattice layer runs on, integer
+square and cube roots, and Fractions only for parsing and the
+Bernoulli/Faulhaber sums.  No floats enter any comparison.
 """
 
 from fractions import Fraction
@@ -11,10 +11,6 @@ from functools import lru_cache
 from math import comb, gcd, isqrt
 
 from .errors import InvariantError, PreconditionError
-
-
-def frac_vector(v):
-    return tuple(Fraction(x) for x in v)
 
 
 def dot(u, v):
@@ -61,24 +57,6 @@ def det_int(m):
             a[r][col] = 0
         prev = a[col][col]
     return sign * a[k - 1][k - 1]
-
-
-def solve_fraction(m, rhs):
-    """Solve m x = rhs exactly; returns None when m is singular."""
-    k = len(m)
-    a = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(m)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][k] for i in range(k))
 
 
 def ldl_fraction_free(m):

@@ -76,15 +76,10 @@ def to_csv(table):
 
 
 def _json_value(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
+    cell = format_cell(v)
     if isinstance(v, Fraction):
-        return json.dumps(format_cell(v))
-    if isinstance(v, (int, float)):
-        return format_cell(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    raise PreconditionError(f"cannot format a {type(v).__name__} cell")
+        return f'"{cell}"'
+    return json.dumps(cell) if isinstance(v, str) else cell
 
 
 def to_json(table):

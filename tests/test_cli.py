@@ -186,6 +186,9 @@ def test_budget_exit_4(capsys):
         # about 2 * 10^11 hyperbola blocks: refused before the first one
         ("count", "--k", "2", "--max-index", str(10**22)),
         ("normalization", "--k", str(measure._NORMALIZATION_CAP + 1)),
+        # count-by-index factors n by capped trial division, and caps k
+        ("count-by-index", "--k", "2", "--n", str(10**30)),
+        ("count-by-index", "--k", "2000", "--n", "2"),
         # the k = 2 disc search charges each row before it scans it
         ("reduce", "--matrix", f"{10**12},0;0,1"),
         ("reduce", "--matrix", f"{10**320},0;0,1"),

@@ -56,6 +56,10 @@ def test_summatory_exact():
     sig = H.sigma_table(N)
     assert summatory(f, 300) == sum(sig[1:])
     assert summatory(f, 10) == 87
+    # A(T) is the empty sum below 1, also for negative T
+    g = DirichletSeries.shifted(5)
+    for t in (0, Fraction(1, 2), -1, -3, Fraction(-7, 2)):
+        assert summatory(g, t) == 0
     assert sigma_summatory(10) == 87
     for t in (1, 2, 17, 100, 299):
         assert sigma_summatory(t) == sum(sig[1 : t + 1])

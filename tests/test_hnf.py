@@ -73,6 +73,30 @@ def test_enumerate_hnf_counts():
         assert count_by_index(3, p) == p * p + p + 1
 
 
+def test_count_by_index_matches_divisor_recursion():
+    # the defining recursion c_k(n) = sum_{d | n} d^(k-1) c_(k-1)(n / d)
+    ref = {(1, n): 1 for n in range(1, 400)}
+    for k in range(2, 7):
+        for n in range(1, 400):
+            ref[k, n] = sum(
+                d ** (k - 1) * ref[k - 1, n // d] for d in range(1, n + 1) if n % d == 0
+            )
+    for (k, n), want in ref.items():
+        assert count_by_index(k, n) == want, (k, n)
+    # c_12(2^39) is the Gaussian binomial [50, 39]_2 = [50, 11]_2
+    num = den = 1
+    for i in range(1, 12):
+        num *= 2 ** (51 - i) - 1
+        den *= 2**i - 1
+    assert count_by_index(12, 2**39) == num // den
+    with pytest.raises(BudgetExceededError):
+        count_by_index(2, 10**30)  # factoring is capped at n <= 10^12
+    with pytest.raises(BudgetExceededError):
+        count_by_index(101, 2)
+    with pytest.raises(PreconditionError):
+        count_by_index(0, 2)
+
+
 def test_enumerate_hnf_yields_distinct_valid_matrices():
     seen = set()
     for h in enumerate_hnf(3, 6):

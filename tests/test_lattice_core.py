@@ -147,6 +147,22 @@ def test_lattice_coefficients_and_membership():
     assert lattice_coefficients(L, (5, 3)) == (1, 0)
     assert lattice_coefficients(L, (-3, 8)) == (1, 1)
     assert lattice_coefficients(L, (1, 0)) is None
+    # half a basis vector: its Cramer solution is not integral
+    assert lattice_coefficients(L, (Fraction(5, 2), Fraction(3, 2))) is None
+    # rank < ambient: the Gram solve matches inner products only, so a
+    # vector outside the span must be caught by recombining
+    L = LatticeBasis([(1, 0, 0), (0, 1, 1)])
+    assert lattice_coefficients(L, (1, 2, 2)) == (1, 2)
+    assert lattice_coefficients(L, (0, 1, 0)) is None
+    assert lattice_coefficients(L, (0, 1, -1)) is None
+    # rational basis over q = 6: 1/3 is in it, 1/4 (denominator not
+    # dividing q) and 1/12 are not
+    L = LatticeBasis([(Fraction(1, 2), 0), (Fraction(1, 3), Fraction(1, 3))])
+    assert lattice_coefficients(L, (Fraction(5, 6), Fraction(1, 3))) == (1, 1)
+    assert lattice_coefficients(L, (Fraction(1, 4), 0)) is None
+    assert lattice_coefficients(L, (Fraction(1, 12), 0)) is None
+    with pytest.raises(PreconditionError):
+        lattice_coefficients(L, (1, 0, 0))
 
 
 def test_quotient_multiplicativity_and_examples():

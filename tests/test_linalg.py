@@ -13,7 +13,6 @@ from latvol.linalg import (
     icbrt,
     ldl_fraction_free,
     power_sum,
-    solve_fraction,
     vec_gcd,
 )
 
@@ -52,17 +51,6 @@ def test_ext_gcd_bezout():
         assert g >= 0
         if a or b:
             assert a % g == 0 and b % g == 0
-
-
-def test_solve_and_inverse_round_trip():
-    rng = random.Random(4)
-    for _ in range(50):
-        m = H.rand_rows(rng, 3)
-        rhs = [rng.randint(-9, 9) for _ in range(3)]
-        x = solve_fraction(m, rhs)
-        assert [sum(Fraction(m[i][j]) * x[j] for j in range(3)) for i in range(3)] == [
-            Fraction(r) for r in rhs
-        ]
 
 
 def test_ldl_fraction_free_reconstructs_gram():
