@@ -16,13 +16,12 @@ determinant matrices.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
 from math import gcd, isqrt
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InvariantError, PreconditionError
-from .lattice import LatticeBasis, greedy_basis, iter_short_coefficient_vectors
-from .linalg import det_int, ext_gcd, gram_matrix, icbrt, mat_mul, vec_gcd
+from .lattice import LatticeBasis, _greedy, _short_vectors
+from .linalg import det_int, ext_gcd, icbrt, mat_mul, vec_gcd
 
 
 class ReduceResult(NamedTuple):
@@ -280,23 +279,50 @@ def _spend(ops, budget):
     return ops + 1
 
 
+# the permutations p of range(3), each with its sign sgn(p)
+_PERMS3 = (
+    ((0, 1, 2), 1),
+    ((1, 2, 0), 1),
+    ((2, 0, 1), 1),
+    ((0, 2, 1), -1),
+    ((2, 1, 0), -1),
+    ((1, 0, 2), -1),
+)
+
+
+def _start_trace(vecs):
+    """The largest trace of a matrix with columns s_i vecs[p_i], signs s_i
+    = +-1 and p a permutation, whose determinant is that of (vecs) > 0.
+
+    Each of the 48 has det sgn(p) s_0 s_1 s_2 times that of (vecs), so the
+    admissible ones have s_0 s_1 s_2 = sgn(p).  For fixed p, s_i = sign(t_i)
+    on t_i = vecs[p_i][i] gives the trace sum |t_i|; when its sign product
+    is wrong, flipping the sign at the smallest |t_i| costs the least.
+    """
+    best = None
+    for p, sgn in _PERMS3:
+        t = [vecs[j][i] for i, j in enumerate(p)]
+        tr = sum(map(abs, t))
+        if (-1) ** sum(a < 0 for a in t) != sgn:
+            tr -= 2 * min(map(abs, t))
+        if best is None or tr > best:
+            best = tr
+    return best
+
+
 def _reduce_k3(rows, budget):
     d = det_int(rows)
-    coeffs = list(greedy_basis(LatticeBasis(_transpose(rows))).coeffs)
+    # the greedy basis of the column lattice, rows over q = 1: vecs[i] is
+    # the column A coeffs[i] of A U with U = (coeffs)^T, det U = 1
+    vecs, _, coeffs = _greedy(LatticeBasis._from_rows(_transpose(rows), 1))
+    vecs, coeffs = list(vecs), list(coeffs)
     if det_int(coeffs) < 0:
         coeffs[2] = tuple(-x for x in coeffs[2])
-    # the greedy vectors, columns of A U with U = (coeffs)^T, det U = 1
-    vecs = [_mat_vec3(rows, c) for c in coeffs]
+        vecs[2] = tuple(-x for x in vecs[2])
+    # start point: the signed permutations of the greedy columns with det d
+    # share a0 = |M|_F^2, so the largest trace is the best
     a0 = sum(_dot3(v, v) for v in vecs)
-    b0 = None
-    for perm in permutations(range(3)):
-        for signs in product((1, -1), repeat=3):
-            cols3 = [tuple(s * x for x in vecs[p]) for s, p in zip(signs, perm)]
-            if det_int(_transpose(cols3)) != d:
-                continue
-            tr = sum(cols3[i][i] for i in range(3))
-            if b0 is None or _cmp_keys(a0, tr, a0, b0, d, 3) < 0:
-                b0 = tr
+    b0 = _start_trace(vecs)
     # X = d^(1/3) has x <= X S < x + 1.  Every minimizer M, and every M tied
     # with it, has sum_j |M_j - X e_j|^2 = |M - X I|_F^2 <= F = a0 - 2 b0 X
     # + 3 X^2, the start point's value.  F is convex in X, so S^2 F <= Fs,
@@ -305,8 +331,8 @@ def _reduce_k3(rows, budget):
     S = 1 << _CBRT_BITS
     x = icbrt(d << 3 * _CBRT_BITS)
     Fs = max(S * S * a0 - 2 * S * b0 * y + 3 * y * y for y in (x, x + 1))
-    LB = LatticeBasis(vecs)
-    G = gram_matrix(vecs)
+    LB = LatticeBasis._from_rows(tuple(vecs), 1)
+    G = LB._G
     # row j of the basis matrix: M_jj = c_j . e_j for M = (vecs) (c1 c2 c3)
     e = _transpose(vecs)
     # primitive c, as (r, c, |c|^2, G c, B c), kept as a first (second)
@@ -314,11 +340,10 @@ def _reduce_k3(rows, budget):
     # is at most Fs; each one listed costs an op
     ops = 0
     firsts, seconds = [], []
-    for c, n in iter_short_coefficient_vectors(LB, _ball(Fs, S, x)):
+    for c, n in _short_vectors(LB, _ball(Fs, S, x)):
         if vec_gcd(c) != 1:
             continue
         ops = _spend(ops, budget)
-        n = int(n)
         u = _mat_vec3(e, c)
         Gc = _mat_vec3(G, c)
         for j, kept in ((0, firsts), (1, seconds)):

@@ -32,9 +32,9 @@ class LatticeBasis:
     The vectors are B / q, q the lcm of the input denominators, so
     tie-breaks on the rows are tie-breaks on the vectors.  G = B B^T has
     leading minors D_i and fraction-free L D L^T rows U; `covol_sq` is
-    D_k / q^(2k).  `_fp` caches the Fincke-Pohst data: the norm of
-    coefficients x is sum_i w_i (U x)_i^2 / (q^2 W) with W the lcm of the
-    D_i D_(i+1) and integer w_i = W / (D_i D_(i+1)).  `vectors` and `gram`
+    D_k / q^(2k).  `_fp` caches the Fincke-Pohst data: the row norm
+    |x B|^2 of coefficients x is sum_i w_i (U x)_i^2 / W with W the lcm of
+    the D_i D_(i+1) and integer w_i = W / (D_i D_(i+1)).  `vectors` and `gram`
     (B / q and G / q^2) are built as Fractions on first use.
     """
 
@@ -50,6 +50,13 @@ class LatticeBasis:
         q = lcm(*(x.denominator for v in vecs for x in v))
         self._init(tuple(tuple(x.numerator * (q // x.denominator) for x in v) for v in vecs), q)
 
+    @classmethod
+    def _from_rows(cls, rows, q):
+        """The basis with integer rows `rows` (a tuple of tuples) over q > 0."""
+        L = cls.__new__(cls)
+        L._init(rows, q)
+        return L
+
     def _init(self, rows, q):
         self.rank = len(rows)
         self.ambient = len(rows[0])
@@ -61,7 +68,7 @@ class LatticeBasis:
             raise PreconditionError("basis vectors are linearly dependent") from None
         pairs = [deltas[i] * deltas[i + 1] for i in range(self.rank)]
         W = lcm(*pairs)
-        self._fp = (U, tuple(W // p for p in pairs), q * q * W)
+        self._fp = (U, tuple(W // p for p in pairs), W)
 
     @cached_property
     def vectors(self):
@@ -97,17 +104,18 @@ def covol_sq(L):
     return L.covol_sq
 
 
-def iter_short_coefficient_vectors(L, bound):
-    """Every nonzero integer coefficient vector c with |sum c_i b_i|^2 <= bound.
+def _short_vectors(L, bound):
+    """Every nonzero integer coefficient vector c with |c B|^2 <= bound.
 
-    Exact Fincke-Pohst style enumeration on the integer Gram minors;
-    both signs of every vector are produced, one at a time, so a caller
-    may stop early.  Yields (coeffs, norm_sq) with norm_sq a Fraction.
+    B is L's integer rows, so the bound and the yielded norms are integers
+    in row units (q^2 times the vectors' norms).  Exact Fincke-Pohst
+    enumeration on the integer Gram minors; both signs of every vector are
+    produced, one at a time, so a caller may stop early.  Yields
+    (coeffs, |c B|^2).
     """
-    bound = Fraction(bound)
     if bound <= 0:
         return
-    U, mults, scale = L._fp
+    U, mults, W = L._fp
     k = L.rank
     x = [0] * k
 
@@ -123,13 +131,25 @@ def iter_short_coefficient_vectors(L, bound):
             x[i] = xi
             if i == 0:
                 if any(x):
-                    yield tuple(x), acc + contrib
+                    yield tuple(x), (acc + contrib) // W
             else:
                 yield from rec(i - 1, rem - contrib, acc + contrib)
         x[i] = 0
 
-    for c, n in rec(k - 1, bound.numerator * scale // bound.denominator, 0):
-        yield c, Fraction(n, scale)
+    yield from rec(k - 1, bound * W, 0)
+
+
+def iter_short_coefficient_vectors(L, bound):
+    """Every nonzero integer coefficient vector c with |sum c_i b_i|^2 <= bound.
+
+    The listing of `_short_vectors` with the bound floored to row units
+    and each norm returned as a Fraction: both signs of every vector, one
+    at a time, so a caller may stop early.  Yields (coeffs, norm_sq).
+    """
+    bound = Fraction(bound)
+    q2 = L._q**2
+    for c, n in _short_vectors(L, bound.numerator * q2 // bound.denominator):
+        yield c, Fraction(n, q2)
 
 
 def short_coefficient_vectors(L, bound):
@@ -150,12 +170,11 @@ def _fractions(row, q):
 
 def _shortest(L):
     """(r.r, r, c) for shortest_vector's integer row r = c B over L's q."""
-    # the listing takes and returns Fractions; the choice runs on the rows
-    start = Fraction(min(L._G[i][i] for i in range(L.rank)), L._q**2)
+    start = min(L._G[i][i] for i in range(L.rank))
     # both signs of every minimizer are listed; keep the positive-led one
     return min(
-        (dot(r, r), r, c)
-        for c, _ in short_coefficient_vectors(L, start)
+        (n, r, c)
+        for c, n in _short_vectors(L, start)
         for r in (_combine(c, L._rows),)
         if next(a for a in r if a) > 0
     )
@@ -256,9 +275,7 @@ def _quotient(L, v, x):
         rows.append(tuple(vv * a - uv * b for a, b in zip(u, v)))
     q = L._q * vv
     g = gcd(q, *(a for row in rows for a in row))
-    Q = LatticeBasis.__new__(LatticeBasis)
-    Q._init(tuple(tuple(a // g for a in row) for row in rows), q // g)
-    return Q, U
+    return LatticeBasis._from_rows(tuple(tuple(a // g for a in row) for row in rows), q // g), U
 
 
 def _lift(L, v, x, U, qc, wbar, wq):
@@ -350,26 +367,24 @@ def minbasis_sq(L):
     """
     if L.rank > 3:
         raise PreconditionError("minbasis_sq is exhaustive and limited to rank <= 3")
+    q2 = L._q**2
     if L.rank == 1:
-        return L.gram[0][0]
-    g = greedy_basis(L)
+        return Fraction(L._G[0][0], q2)
+    # the scan runs on row norms, integers over q^2; the greedy basis's sum
+    # is the upper bound: its lift bounds make it at most (k+3)/4 sum alpha_i^2
+    rows, _, _ = _greedy(L)
     k = L.rank
-    upper = min(
-        sum(dot(w, w) for w in g.vectors),
-        Fraction(k + 3, 4) * sum(g.alphas_sq),
-    )
-    lam1 = g.alphas_sq[0]
-    cap = upper - (k - 1) * lam1
+    best = sum(dot(w, w) for w in rows)
+    cap = best - (k - 1) * dot(rows[0], rows[0])
     # one sign of each primitive vector, the positive-led one
     items = sorted(
         (n, c)
-        for c, n in short_coefficient_vectors(L, cap)
+        for c, n in _short_vectors(L, cap)
         if vec_gcd(c) == 1 and next(a for a in c if a) > 0
     )
     norms = [n for n, _ in items]
     vecs = [c for _, c in items]
     m = len(vecs)
-    best = upper
     if k == 2:
         for i in range(m):
             if 2 * norms[i] > best:
@@ -381,7 +396,7 @@ def minbasis_sq(L):
                 a, b = vecs[i], vecs[j]
                 if abs(a[0] * b[1] - a[1] * b[0]) == 1:
                     best = s
-        return best
+        return Fraction(best, q2)
     for i in range(m):
         if 3 * norms[i] > best:
             break
@@ -401,4 +416,4 @@ def minbasis_sq(L):
                 c = vecs[l]
                 if abs(cx * c[0] + cy * c[1] + cz * c[2]) == 1:
                     best = base + norms[l]
-    return best
+    return Fraction(best, q2)

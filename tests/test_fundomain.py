@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -264,6 +265,43 @@ def test_reduce_k3_pinned_results():
         rep, gamma = map(_parse, K3_PINNED[i])
         assert H.mat_mul(inputs[i], gamma) == rep and H.det(gamma) == 1
         assert H.orbit_minimum(rep)[0] == rep, inputs[i]
+
+
+# the least k3_budget each of _k3_pinned_inputs() needs, captured before
+# the listing and the greedy basis moved to integers
+K3_PINNED_BUDGETS = [
+    104, 90, 67, 70, 41, 39, 55, 66, 295, 62, 42, 67, 26, 69, 84,
+    39, 28, 234, 26, 89, 290, 204, 50, 164, 129, 26, 34, 49, 205, 37,
+    216, 31, 64, 280, 61, 68, 54, 199, 38, 30, 116, 111, 15, 54, 113,
+]
+
+
+def test_reduce_k3_pinned_budgets():
+    inputs = _k3_pinned_inputs()
+    assert len(inputs) == len(K3_PINNED_BUDGETS)
+    for A, (rep, _), n in zip(inputs, K3_PINNED, K3_PINNED_BUDGETS):
+        assert [list(r) for r in reduce_to_F(A, k3_budget=n).rep] == _parse(rep), A
+        with pytest.raises(BudgetExceededError):
+            reduce_to_F(A, k3_budget=n - 1)
+
+
+def test_start_trace_matches_signed_permutation_loop():
+    from latvol.fundomain import _start_trace
+
+    rng = random.Random(47)
+    for _ in range(300):
+        A = _random_k3(rng, -9, 9)
+        d = H.det(A)
+        vecs = H.transpose(A)
+        best = None
+        for perm in itertools.permutations(range(3)):
+            for signs in itertools.product((1, -1), repeat=3):
+                cols = [[s * x for x in vecs[p]] for s, p in zip(signs, perm)]
+                M = H.transpose(cols)
+                if H.det(M) == d:
+                    tr = M[0][0] + M[1][1] + M[2][2]
+                    best = tr if best is None else max(best, tr)
+        assert _start_trace(vecs) == best, A
 
 
 def test_reduce_k3_diagonal_fixed_points():

@@ -4,15 +4,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import helpers as H
 from latvol.errors import PreconditionError
 from latvol.lattice import (
     LatticeBasis,
+    _short_vectors,
     complete_to_unimodular,
     covol_sq,
     dot,
     greedy_basis,
+    iter_short_coefficient_vectors,
     lattice_coefficients,
     minbasis_sq,
     minimal_lift,
@@ -140,6 +144,51 @@ def test_short_coefficient_vectors_match_box_enumeration():
                 assert all(type(n) is Fraction for _, n in got)
                 assert len(got) == len({c for c, _ in got})
                 assert {tuple(c): n for c, n in got} == _box_enumeration(M, bound)
+
+
+_entry = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3, 4, 7)))
+
+
+@st.composite
+def _listing_cases(draw):
+    """(L, bound): a rank 1-3 rational basis or its quotient by a shortest
+    vector, and a bound that is <= 0, exactly a basis vector's norm, or
+    anything up to twice the largest one."""
+    k = draw(st.integers(1, 3))
+    ambient = k + draw(st.integers(0, 1))
+    row = st.lists(_entry, min_size=ambient, max_size=ambient)
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    try:
+        L = LatticeBasis(rows)
+    except PreconditionError:
+        assume(False)
+    if k > 1 and draw(st.booleans()):
+        L = quotient(L, shortest_vector(L)[0])
+    norms = [L.gram[i][i] for i in range(L.rank)]
+    bound = draw(
+        st.sampled_from(norms)
+        | st.builds(Fraction, st.integers(-3, 0), st.integers(1, 5))
+        | st.builds(lambda t: t * 2 * max(norms), st.fractions(0, 1, max_denominator=12))
+    )
+    return L, bound
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_listing_cases())
+def test_integer_listing_matches_public_listing(case):
+    L, bound = case
+    q2 = L._q**2
+    public = list(iter_short_coefficient_vectors(L, bound))
+    listed = list(_short_vectors(L, bound.numerator * q2 // bound.denominator))
+    assert [c for c, _ in listed] == [c for c, _ in public]
+    for (c, n), (_, norm) in zip(listed, public):
+        r = tuple(sum(x * row[a] for x, row in zip(c, L._rows)) for a in range(L.ambient))
+        assert type(n) is int and n == dot(r, r) == norm * q2 <= bound * q2
+    if bound <= 0:
+        assert listed == []
+    if bound in [L.gram[i][i] for i in range(L.rank)]:
+        # the basis vector of exactly that norm is listed
+        assert any(n == bound * q2 for _, n in listed)
 
 
 def test_lattice_coefficients_and_membership():
