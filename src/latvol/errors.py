@@ -1,5 +1,10 @@
 """Error taxonomy shared by the library and the CLI exit-code contract."""
 
+# The largest rank k any entry point accepts; past it the exact products
+# and determinants grow without bound, so every layer refuses with
+# BudgetExceededError (CLI exit 4).
+K_CAP = 100
+
 
 class LatvolError(Exception):
     """Base class for all library errors."""

@@ -129,6 +129,14 @@ def _floor_sqrt_mul(d, v):
 _K2_BUDGET = 500_000
 
 
+def _spend(spent, n, budget, k):
+    """spent + n, refusing once it passes the k x k reduction's budget."""
+    spent += n
+    if spent > budget:
+        raise BudgetExceededError(f"k = {k} reduction exceeded budget {budget}")
+    return spent
+
+
 def _k2_first_columns(b1, b2, d, c, R):
     """Coefficients (x, y), gcd(x, y) = 1, of every u = x b1 + y b2 with
     |u - c e1|^2 <= R, where d = b1 x b2 > 0.
@@ -149,9 +157,7 @@ def _k2_first_columns(b1, b2, d, c, R):
             continue
         s = isqrt(disc)
         lo, hi = _ceil_div(-h - s, n1), (-h + s) // n1
-        spent += 2 if y == 0 else max(hi - lo + 1, 0)
-        if spent > _K2_BUDGET:
-            raise BudgetExceededError(f"k = 2 reduction exceeded budget {_K2_BUDGET}")
+        spent = _spend(spent, 2 if y == 0 else max(hi - lo + 1, 0), _K2_BUDGET, 2)
         if y == 0:
             yield from ((x, 0) for x in (-1, 1) if lo <= x <= hi)
             continue
@@ -209,8 +215,7 @@ def _keep(best, c, cand):
     best.append(cand)
 
 
-def _reduce_k2(rows):
-    d = det_int(rows)
+def _reduce_k2(rows, d):
     cols = _transpose(rows)
     b1, b2, c1, c2 = _lagrange(cols[0], cols[1])
     if b1[0] * b2[1] - b1[1] * b2[0] < 0:
@@ -273,12 +278,6 @@ def _ball(Fs, S, x):
     return (isqrt(Fs) + x + 2) ** 2 // (S * S)
 
 
-def _spend(ops, budget):
-    if ops >= budget:
-        raise BudgetExceededError(f"k = 3 reduction exceeded budget {budget}")
-    return ops + 1
-
-
 # the permutations p of range(3), each with its sign sgn(p)
 _PERMS3 = (
     ((0, 1, 2), 1),
@@ -310,8 +309,7 @@ def _start_trace(vecs):
     return best
 
 
-def _reduce_k3(rows, budget):
-    d = det_int(rows)
+def _reduce_k3(rows, d, budget):
     # the greedy basis of the column lattice, rows over q = 1: vecs[i] is
     # the column A coeffs[i] of A U with U = (coeffs)^T, det U = 1
     vecs, _, coeffs = _greedy(LatticeBasis._from_rows(_transpose(rows), 1))
@@ -343,7 +341,7 @@ def _reduce_k3(rows, budget):
     for c, n in _short_vectors(LB, _ball(Fs, S, x)):
         if vec_gcd(c) != 1:
             continue
-        ops = _spend(ops, budget)
+        ops = _spend(ops, 1, budget, 3)
         u = _mat_vec3(e, c)
         Gc = _mat_vec3(G, c)
         for j, kept in ((0, firsts), (1, seconds)):
@@ -357,7 +355,7 @@ def _reduce_k3(rows, budget):
         for r2, c2, n2c, Gc2, ec2 in seconds:
             if r1 + r2 > Fs:
                 break
-            ops = _spend(ops, budget)
+            ops = _spend(ops, 1, budget, 3)
             m = _cross(c1, c2)
             if m == (0, 0, 0) or vec_gcd(m) != 1:
                 continue
@@ -383,7 +381,7 @@ def _reduce_k3(rows, budget):
             tr12 = ec1[0] + ec2[1] + _dot3(y0, e[2])
             a12 = n1c + n2c
             for t2 in range(_ceil_div(B2 - s22, A2), (B2 + s22) // A2 + 1):
-                ops = _spend(ops, budget)
+                ops = _spend(ops, 1, budget, 3)
                 cen = p1 + q12 * t2
                 base3 = p0 + 2 * p2 * t2 + n2c * t2 * t2
                 disc1 = cen * cen - n1c * (base3 - rem3)
@@ -419,13 +417,13 @@ def reduce_to_F(A, k3_budget=None):
     if k == 1:
         return ReduceResult(gamma=((1,),), rep=rows)
     if k == 2:
-        return _reduce_k2(rows)
+        return _reduce_k2(rows, d)
     if k == 3:
         if k3_budget is None:
             raise PreconditionError("k = 3 reduction needs an explicit k3_budget")
         if k3_budget < 0:
             raise PreconditionError("k3_budget must be >= 0")
-        return _reduce_k3(rows, k3_budget)
+        return _reduce_k3(rows, d, k3_budget)
     raise PreconditionError("reduction is implemented for k <= 3")
 
 

@@ -12,9 +12,9 @@ from fractions import Fraction
 from itertools import product
 from math import isqrt
 
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import K_CAP, BudgetExceededError, InvariantError, PreconditionError
 from .linalg import ext_gcd, identity_int, power_sum
-from .lattice import LatticeBasis, shortest_vector
+from .lattice import LatticeBasis, _shortest
 from .padic import index_local_factors
 
 
@@ -69,10 +69,7 @@ class HnfMatrix:
 
     def column_lattice(self):
         """The sublattice of Z^k spanned by the columns, as a LatticeBasis."""
-        cols = tuple(
-            tuple(self.entries[i][j] for i in range(self.k)) for j in range(self.k)
-        )
-        return LatticeBasis(cols)
+        return LatticeBasis._from_rows(tuple(zip(*self.entries)), 1)
 
 
 def hnf_of(matrix):
@@ -193,10 +190,6 @@ def count_sublattices(k, T):
     return _count_exact(k, T, {}, [0])
 
 
-# the same cap on k as measure.normalization_constant
-_INDEX_K_CAP = 100
-
-
 def count_by_index(k, n):
     """Number of sublattices of Z^k of index exactly n.
 
@@ -204,12 +197,12 @@ def count_by_index(k, n):
     multiplicative in n with c_k(p^e) the Gaussian binomial
     [k-1+e, e]_p = prod_{i=1..e} (p^(k-1+i) - 1) / (p^i - 1).  n is
     factored by `padic.index_local_factors`, which refuses n > 10^12
-    (BudgetExceededError), and k is capped at _INDEX_K_CAP.
+    (BudgetExceededError), and k is capped at errors.K_CAP.
     """
     if k < 1 or n < 1:
         raise PreconditionError("need k >= 1 and n >= 1")
-    if k > _INDEX_K_CAP:
-        raise BudgetExceededError(f"count by index capped at k <= {_INDEX_K_CAP}")
+    if k > K_CAP:
+        raise BudgetExceededError(f"count by index capped at k <= {K_CAP}")
     count = 1
     for p, pe in index_local_factors(n).items():
         num = den = pi = 1
@@ -258,10 +251,7 @@ def count_with_short_vector(k, T, S):
         raise BudgetExceededError(
             f"T^k = {D} needs more than {_SHORT_BUDGET} HNF matrices enumerated"
         )
-    min_cap = (T / S) ** 2
-    count = 0
-    for H in enumerate_hnf(k, D):
-        _, norm = shortest_vector(H.column_lattice())
-        if norm <= min_cap:
-            count += 1
-    return count
+    # the first minimum n of an integer lattice is at most (T/S)^2 = a/b
+    # when n b <= a
+    a, b = ((T / S) ** 2).as_integer_ratio()
+    return sum(_shortest(H.column_lattice())[0] * b <= a for H in enumerate_hnf(k, D))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from . import kernels
 from .dirichlet import volume_constant
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import K_CAP, BudgetExceededError, InvariantError, PreconditionError
 from .fundomain import reduce_to_F
 from .hnf import count_sublattices, enumerate_hnf
 from .linalg import det_int, floor_sqrt_frac
@@ -29,8 +29,6 @@ from .report import Table
 
 _GRID_CAP = 2_000_000
 _OUTSIDE_SAMPLES = 32
-# normalization_constant's Bareiss determinant is O(k^3) on a k x k list
-_NORMALIZATION_CAP = 100
 
 
 class RegionCounter(NamedTuple):
@@ -186,8 +184,8 @@ def normalization_constant(k):
     """
     if k < 1:
         raise PreconditionError("k must be >= 1")
-    if k > _NORMALIZATION_CAP:
-        raise BudgetExceededError(f"normalization capped at k <= {_NORMALIZATION_CAP}")
+    if k > K_CAP:
+        raise BudgetExceededError(f"normalization capped at k <= {K_CAP}")
     rows = []
     for i in range(k - 1):
         row = [0] * k

@@ -7,12 +7,13 @@ singular-set density.  tamagawa_partial multiplies the exact prime
 product into zeta values and is the one float-valued quantity.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import prod
 
 from .dirichlet import riemann_zeta
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import K_CAP, BudgetExceededError, InvariantError, PreconditionError
 from .linalg import det_int
 
 _SIEVE_CAP = 1_000_000
@@ -20,23 +21,24 @@ _ENUM_BUDGET = 200_000
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Primality by `index_local_factors`' trial division (capped at 10^12)."""
+    return n >= 2 and index_local_factors(n) == {n: n}
 
 
-def _require_prime(p):
+def _require_k(k, least):
+    """Refuse k < least (exit 3), then k > errors.K_CAP (exit 4); callers
+    check their other arguments first, so those refusals keep exit 3."""
+    if k < least:
+        raise PreconditionError(f"k must be >= {least}")
+    if k > K_CAP:
+        raise BudgetExceededError(f"p-adic products capped at k <= {K_CAP}")
+
+
+def _require(k, p):
+    """The argument check of every entry point taking a prime p and k >= 1."""
     if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
+    _require_k(k, 1)
 
 
 def primes_up_to(n):
@@ -53,83 +55,79 @@ def primes_up_to(n):
     return [i for i in range(2, n + 1) if flags[i]]
 
 
+def _unit_terms(p, lo, hi):
+    """(prod_{i=lo..hi} (p^i - 1), p^(lo + ... + hi)), a coprime pair.
+
+    Their quotient is prod_{i=lo..hi} (1 - p^-i); p divides no p^i - 1.
+    """
+    return prod(p**i - 1 for i in range(lo, hi + 1)), p ** ((lo + hi) * (hi - lo + 1) // 2)
+
+
 def gl_density(k, p):
     """Density of invertible matrices: (1 - p^-1)(1 - p^-2)...(1 - p^-k)."""
-    _require_prime(p)
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    return prod((1 - Fraction(1, p**j) for j in range(1, k + 1)), start=Fraction(1))
+    _require(k, p)
+    return Fraction(*_unit_terms(p, 1, k))
 
 
-def _iter_matrices(k, q):
-    for entries in product(range(q), repeat=k * k):
-        yield tuple(entries[i * k : (i + 1) * k] for i in range(k))
+def _det_counts(k, p, n):
+    """Counter of det mod p^n over all p^(n k^2) k x k matrices over Z/p^n.
+
+    Refused past _ENUM_BUDGET matrices; as p >= 2, that holds once n k^2
+    reaches the budget's bit length, which is tested before the power.
+    """
+    if n * k * k >= _ENUM_BUDGET.bit_length() or p ** (n * k * k) > _ENUM_BUDGET:
+        raise BudgetExceededError(f"enumeration capped at p^(n k^2) <= {_ENUM_BUDGET}")
+    q = p**n
+    return Counter(
+        det_int(tuple(e[i * k : (i + 1) * k] for i in range(k))) % q
+        for e in product(range(q), repeat=k * k)
+    )
 
 
 def gl_count_modp(k, p, method="formula"):
     """#Gl_k(F_p), by the column-count formula or exhaustive enumeration."""
-    _require_prime(p)
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
+    if method not in ("formula", "enumeration"):
+        raise PreconditionError(f"unknown method {method!r}")
+    _require(k, p)
     if method == "formula":
         return prod(p**k - p**i for i in range(k))
-    if method != "enumeration":
-        raise PreconditionError(f"unknown method {method!r}")
-    if p ** (k * k) > _ENUM_BUDGET:
-        raise BudgetExceededError(f"enumeration capped at p^(k^2) <= {_ENUM_BUDGET}")
-    return sum(1 for m in _iter_matrices(k, p) if det_int(m) % p != 0)
+    return p ** (k * k) - _det_counts(k, p, 1)[0]
 
 
 def sl_count_modp(k, p, method="formula"):
     """#Sl_k(F_p) = #Gl_k(F_p) / (p - 1), with an enumeration cross-check mode."""
-    _require_prime(p)
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
+    if method not in ("formula", "enumeration"):
+        raise PreconditionError(f"unknown method {method!r}")
+    _require(k, p)
     if method == "formula":
         n = gl_count_modp(k, p)
         if n % (p - 1):
             raise InvariantError("unit determinants must split evenly")
         return n // (p - 1)
-    if method != "enumeration":
-        raise PreconditionError(f"unknown method {method!r}")
-    if p ** (k * k) > _ENUM_BUDGET:
-        raise BudgetExceededError(f"enumeration capped at p^(k^2) <= {_ENUM_BUDGET}")
-    return sum(1 for m in _iter_matrices(k, p) if det_int(m) % p == 1)
-
-
-def _sl_density_terms(k, p):
-    """(prod_{j=2..k} (p^j - 1), p^(k(k+1)/2 - 1)), sl_density in lowest terms.
-
-    The pair is coprime because p divides no p^j - 1.
-    """
-    return prod(p**j - 1 for j in range(2, k + 1)), p ** (k * (k + 1) // 2 - 1)
+    return _det_counts(k, p, 1)[1]
 
 
 def sl_density(k, p):
     """(1 - p^-2)...(1 - p^-k) = #Sl_k(F_p) / p^(k^2 - 1); empty product at k = 1."""
-    _require_prime(p)
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
-    return Fraction(*_sl_density_terms(k, p))
+    _require(k, p)
+    return Fraction(*_unit_terms(p, 2, k))
 
 
 def local_zeta(k, p, s):
     """Sum of [Z_p^k : J]^(-s) over finite-index J, as an exact rational.
 
     Equals 1/((1 - p^(k-1-s)) ... (1 - p^(-s))); integer s > k - 1 keeps
-    every factor a finite rational.
+    every factor a finite rational.  s is capped at errors.K_CAP like k.
     """
-    _require_prime(p)
-    if k < 1:
-        raise PreconditionError("k must be >= 1")
     if not isinstance(s, int) or isinstance(s, bool):
         raise PreconditionError("exactness needs integer s")
     if s <= k - 1:
         raise PreconditionError("the product diverges for s <= k - 1")
-    v = Fraction(1)
-    for j in range(k):
-        v /= 1 - Fraction(1, p ** (s - j))
-    return v
+    _require(k, p)
+    if s > K_CAP:
+        raise BudgetExceededError(f"local zeta capped at s <= {K_CAP}")
+    num, den = _unit_terms(p, s - k + 1, s)
+    return Fraction(den, num)
 
 
 def local_tamagawa_check(k, p):
@@ -146,15 +144,10 @@ def singular_density(k, p, n):
     Exhaustive only (there is no formula mode); the value is bounded by
     k * p^(-n).
     """
-    _require_prime(p)
-    if k < 1 or n < 1:
-        raise PreconditionError("k and n must be >= 1")
-    q = p**n
-    total = q ** (k * k)
-    if total > _ENUM_BUDGET:
-        raise BudgetExceededError(f"enumeration capped at p^(n k^2) <= {_ENUM_BUDGET}")
-    cnt = sum(1 for m in _iter_matrices(k, q) if det_int(m) % q == 0)
-    return Fraction(cnt, total)
+    if n < 1:
+        raise PreconditionError("n must be >= 1")
+    _require(k, p)
+    return Fraction(_det_counts(k, p, n)[0], p ** (n * k * k))
 
 
 def index_local_factors(A):
@@ -172,7 +165,7 @@ def index_local_factors(A):
     if d <= 0:
         raise PreconditionError("index must be positive")
     if d > 10**12:
-        raise BudgetExceededError("trial division capped at det <= 10^12")
+        raise BudgetExceededError("trial division capped at 10^12")
     out = {}
     m = d
     f = 2
@@ -210,10 +203,9 @@ def tamagawa_partial(k, P):
     single float conversion, so error comes only from zeta and the final
     products.
     """
-    if k < 2:
-        raise PreconditionError("k must be >= 2")
     if P < 2:
         raise PreconditionError("P must be >= 2")
+    _require_k(k, 2)
     ps = primes_up_to(P)
     value = 1.0
     for j in range(2, k + 1):
@@ -232,16 +224,15 @@ def tamagawa_factors_table(k, P):
     """
     from .report import Table
 
-    if k < 2:
-        raise PreconditionError("k must be >= 2")
     if P < 2:
         raise PreconditionError("P must be >= 2")
+    _require_k(k, 2)
     running = 1.0
     for j in range(2, k + 1):
         running *= riemann_zeta(j)
     rows = []
     for p in primes_up_to(P):
-        num, den = _sl_density_terms(k, p)
+        num, den = _unit_terms(p, 2, k)
         running *= num / den
         rows.append((p, Fraction(num, den), running))
     return Table("tamagawa", ("p", "factor", "partial_product"), rows, {"k": k})

@@ -11,7 +11,12 @@ import io
 import json
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import BudgetExceededError, PreconditionError
+
+# Python's default limit on int-to-decimal conversion; a longer cell is
+# refused (CLI exit 4) instead of failing inside str()
+_CELL_DIGITS = 4300
+_CELL_BOUND = 10**_CELL_DIGITS
 
 
 class Table:
@@ -52,13 +57,19 @@ class Table:
     __hash__ = None
 
 
+def _digits(n):
+    if not -_CELL_BOUND < n < _CELL_BOUND:
+        raise BudgetExceededError(f"integer cell longer than {_CELL_DIGITS} digits")
+    return str(n)
+
+
 def format_cell(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
+        return f"{_digits(v.numerator)}/{_digits(v.denominator)}"
     if isinstance(v, int):
-        return str(v)
+        return _digits(v)
     if isinstance(v, float):
         return format(v, ".15g")
     if isinstance(v, str):

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import time
 from fractions import Fraction
 
+import pytest
+
 import helpers as H
-from latvol import cli, measure
-from latvol.errors import InvariantError
+from latvol import cli
+from latvol.errors import K_CAP, InvariantError
 from latvol.report import parse_csv
 
 SUBCOMMANDS = [
@@ -185,7 +188,7 @@ def test_budget_exit_4(capsys):
         ("cone-count", "--d-list", "100"),
         # about 2 * 10^11 hyperbola blocks: refused before the first one
         ("count", "--k", "2", "--max-index", str(10**22)),
-        ("normalization", "--k", str(measure._NORMALIZATION_CAP + 1)),
+        ("normalization", "--k", str(K_CAP + 1)),
         # count-by-index factors n by capped trial division, and caps k
         ("count-by-index", "--k", "2", "--n", str(10**30)),
         ("count-by-index", "--k", "2000", "--n", "2"),
@@ -201,6 +204,48 @@ def test_budget_exit_4(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 4 and out == "", argv
         assert json.loads(err)["error"]["type"] == "BudgetExceededError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # without the shared k cap and the capped trial division behind
+        # is_prime, each of these four runs for more than 10 s
+        ("local-check", "--k", "20000", "--p", "2"),
+        ("local-zeta", "--k", "30000", "--p", "2", "--s", "30001"),
+        ("tamagawa", "--k", "3000", "--p-max", "3"),
+        ("local-check", "--k", "2", "--p", str(10**18 + 3)),
+        # s is capped like k, and the enumeration refuses a large n before
+        # it forms p^(n k^2)
+        ("local-zeta", "--k", "2", "--p", "3", "--s", str(K_CAP + 1)),
+        ("singular", "--k", str(10**5), "--p", "2", "--n", "1"),
+        ("singular", "--k", "2", "--p", "2", "--n", str(10**9)),
+    ],
+)
+def test_padic_caps_exit_4_quickly(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0, argv
+    assert code == 4 and out == "", argv
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "BudgetExceededError"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 97^5050 and 97^5049 have over 10,000 digits
+        ("local-zeta", "--k", "100", "--p", "97", "--s", "100"),
+        ("tamagawa", "--k", "100", "--p-max", "100"),
+    ],
+)
+def test_unprintable_cell_exit_4(capsys, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert code == 4 and out == "", argv
+    record = json.loads(err)["error"]
+    assert record["type"] == "BudgetExceededError"
+    assert "4300 digits" in record["message"]
 
 
 def test_invariant_exit_5(capsys, monkeypatch):

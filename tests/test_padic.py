@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 
 from latvol.dirichlet import riemann_zeta
-from latvol.errors import BudgetExceededError, InvariantError, PreconditionError
+from latvol.errors import K_CAP, BudgetExceededError, PreconditionError
 from latvol.padic import (
     gl_count_modp,
     gl_density,
@@ -27,6 +27,41 @@ def test_prime_utilities():
     assert len(primes_up_to(100)) == 25
     with pytest.raises(BudgetExceededError):
         primes_up_to(10**7)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: gl_density(k, 2),
+        lambda k: sl_density(k, 2),
+        lambda k: gl_count_modp(k, 2),
+        lambda k: gl_count_modp(k, 2, method="enumeration"),
+        lambda k: sl_count_modp(k, 2),
+        lambda k: sl_count_modp(k, 2, method="enumeration"),
+        lambda k: local_zeta(k, 2, k),
+        lambda k: local_tamagawa_check(k, 2),
+        lambda k: singular_density(k, 2, 1),
+        lambda k: tamagawa_partial(k, 3),
+        lambda k: tamagawa_factors_table(k, 3),
+    ],
+)
+def test_entry_points_share_the_k_cap(call):
+    with pytest.raises(BudgetExceededError):
+        call(K_CAP + 1)
+    with pytest.raises(BudgetExceededError):
+        call(10**6)
+
+
+def test_caps_on_s_and_p():
+    assert local_zeta(K_CAP, 2, K_CAP) * gl_density(K_CAP, 2) == 1
+    with pytest.raises(BudgetExceededError):
+        local_zeta(2, 3, K_CAP + 1)
+    # primality is decided by trial division, which stops at 10^12
+    assert is_prime(999_999_999_989)
+    with pytest.raises(BudgetExceededError):
+        is_prime(10**12 + 39)
+    with pytest.raises(BudgetExceededError):
+        gl_density(2, 10**18 + 3)
 
 
 def test_gl_density_formula():

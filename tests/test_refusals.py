@@ -1,0 +1,77 @@
+"""Refusals that the other tests do not reach: each call raises its type."""
+
+from fractions import Fraction
+
+import pytest
+
+from latvol.dirichlet import (
+    DirichletSeries,
+    convolve,
+    product_error_scan,
+    product_error_table,
+    sigma_summatory,
+    summatory,
+    volume_constant,
+)
+from latvol.errors import PreconditionError
+from latvol.fundomain import size_sq
+from latvol.hnf import count_with_short_vector, enumerate_hnf, hnf_of
+from latvol.kernels import sigma_cumsum
+from latvol.lattice import LatticeBasis, minbasis_sq
+from latvol.measure import (
+    RegionCounter,
+    count_scaled_points,
+    disc_lattice_count,
+    slope_directions,
+)
+from latvol.padic import gl_count_modp, sl_count_modp
+from latvol.report import format_cell, parse_csv
+
+
+def _inside(p):
+    return True
+
+
+REFUSALS = {
+    "short k=4": lambda: count_with_short_vector(4, 2, 1),
+    "short float T": lambda: count_with_short_vector(2, 2.5, 1),
+    "short T=0": lambda: count_with_short_vector(2, 0, 1),
+    "short S<1": lambda: count_with_short_vector(2, 5, Fraction(1, 2)),
+    "enumerate_hnf k=0": lambda: list(enumerate_hnf(0, 1)),
+    "hnf_of non-square": lambda: hnf_of([[1, 2, 3], [4, 5, 6]]),
+    "sigma_cumsum(-1)": lambda: sigma_cumsum(-1),
+    "sigma_summatory(-1)": lambda: sigma_summatory(-1),
+    "product_error_table([0])": lambda: product_error_table([0]),
+    "product_error_scan(0)": lambda: product_error_scan(0),
+    "volume_constant(0)": lambda: volume_constant(0),
+    "convolve short prefix": lambda: convolve(
+        DirichletSeries.ones(3), DirichletSeries.ones(2), 3
+    ),
+    "summatory past prefix": lambda: summatory(DirichletSeries.ones(3), 4),
+    "empty series": lambda: DirichletSeries(()),
+    "grid scale 0": lambda: count_scaled_points(
+        RegionCounter(2, _inside, 0, ((0, 1), (0, 1)))
+    ),
+    "grid box width": lambda: count_scaled_points(
+        RegionCounter(2, _inside, Fraction(1, 2), ((0, 1),))
+    ),
+    "disc r=0": lambda: disc_lattice_count(0),
+    "slope_directions(-1)": lambda: slope_directions(-1),
+    "gl method": lambda: gl_count_modp(2, 3, method="guess"),
+    "sl method": lambda: sl_count_modp(2, 3, method="guess"),
+    "gl k=0": lambda: gl_count_modp(0, 3),
+    "sl k=0": lambda: sl_count_modp(0, 3),
+    "format_cell complex": lambda: format_cell(1j),
+    "parse_csv empty": lambda: parse_csv(""),
+    "size_sq 4x4": lambda: size_sq([[1 if i == j else 0 for j in range(4)] for i in range(4)]),
+}
+
+
+@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal(call):
+    with pytest.raises(PreconditionError):
+        call()
+
+
+def test_minbasis_at_rank_one_is_the_squared_length():
+    assert minbasis_sq(LatticeBasis([(Fraction(3, 2), 2)])) == Fraction(25, 4)
