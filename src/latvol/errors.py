@@ -5,6 +5,10 @@
 # BudgetExceededError (CLI exit 4).
 K_CAP = 100
 
+# Python's default limit on int-to-decimal conversion: a table cell holding
+# a longer integer is refused (CLI exit 4) instead of failing inside str()
+CELL_DIGITS = 4300
+
 
 class LatvolError(Exception):
     """Base class for all library errors."""

@@ -86,6 +86,8 @@ def compare_distance(A, gamma1, gamma2):
     if d <= 0:
         raise PreconditionError("determinant must be positive")
     for g in (g1, g2):
+        if len(g) != len(rows):
+            raise PreconditionError("gamma must be the size of A")
         if det_int(g) != 1:
             raise PreconditionError("gamma must have determinant 1")
     a1, b1 = _frob_tr(mat_mul(rows, g1))
@@ -198,12 +200,20 @@ def _transpose(m):
     return tuple(zip(*m))
 
 
+def _mul2(a, b):
+    """The 2 x 2 product a b in closed form."""
+    (p, q), (r, s) = a
+    (w, x), (y, z) = b
+    return ((p * w + q * y, p * x + q * z), (r * w + s * y, r * x + s * z))
+
+
 def _finish(rows, best, U):
     """The tie-broken best (a, tr, M, gp), with gp given on the reduced
     basis A U, as ReduceResult(U gp, M)."""
     a, b, M, gp = min(best, key=lambda c: c[2])
-    gamma = mat_mul(U, gp)
-    if det_int(gamma) != 1 or mat_mul(rows, gamma) != M:
+    mul = _mul2 if len(rows) == 2 else mat_mul
+    gamma = mul(U, gp)
+    if det_int(gamma) != 1 or mul(rows, gamma) != M:
         raise InvariantError("reduction produced an inconsistent witness")
     return ReduceResult(gamma=gamma, rep=M)
 

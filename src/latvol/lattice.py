@@ -35,7 +35,9 @@ class LatticeBasis:
     D_k / q^(2k).  `_fp` caches the Fincke-Pohst data: the row norm
     |x B|^2 of coefficients x is sum_i w_i (U x)_i^2 / W with W the lcm of
     the D_i D_(i+1) and integer w_i = W / (D_i D_(i+1)).  `vectors` and `gram`
-    (B / q and G / q^2) are built as Fractions on first use.
+    (B / q and G / q^2) are built as Fractions on first use, and so are
+    `_minimum` and `_greedy_rows`, the results of `_shortest` and `_greedy`:
+    the public functions on one lattice share one search of each.
     """
 
     def __init__(self, vectors):
@@ -77,6 +79,14 @@ class LatticeBasis:
     @cached_property
     def gram(self):
         return tuple(_fractions(row, self._q**2) for row in self._G)
+
+    @cached_property
+    def _minimum(self):
+        return _shortest(self)
+
+    @cached_property
+    def _greedy_rows(self):
+        return _greedy(self)
 
     @property
     def covol_sq(self):
@@ -187,7 +197,7 @@ def shortest_vector(L):
     positive first nonzero coordinate, the lexicographically smallest
     coordinate vector.
     """
-    n, r, _ = _shortest(L)
+    n, r, _ = L._minimum
     return _fractions(r, L._q), Fraction(n, L._q**2)
 
 
@@ -324,7 +334,7 @@ def minimal_lift(L, v, wbar):
 
 def _greedy(L):
     """greedy_basis with integer rows over L's q, alpha_i^2 as (num, den)."""
-    n1, v1, x = _shortest(L)
+    n1, v1, x = L._minimum
     rows, norms, coeffs = (v1,), ((n1, L._q**2),), (x,)
     if L.rank > 1:
         Q, U = _quotient(L, v1, x)
@@ -353,7 +363,7 @@ def greedy_basis(L):
     det +-1 and recombine to its vectors), and
     |v_i|^2 <= alpha_i^2 + (alpha_1^2 + .. + alpha_{i-1}^2)/4.
     """
-    rows, norms, coeffs = _greedy(L)
+    rows, norms, coeffs = L._greedy_rows
     alphas_sq = tuple(Fraction(n, d) for n, d in norms)
     return GreedyBasis(tuple(_fractions(w, L._q) for w in rows), alphas_sq, coeffs)
 
@@ -372,7 +382,7 @@ def minbasis_sq(L):
         return Fraction(L._G[0][0], q2)
     # the scan runs on row norms, integers over q^2; the greedy basis's sum
     # is the upper bound: its lift bounds make it at most (k+3)/4 sum alpha_i^2
-    rows, _, _ = _greedy(L)
+    rows, _, _ = L._greedy_rows
     k = L.rank
     best = sum(dot(w, w) for w in rows)
     cap = best - (k - 1) * dot(rows[0], rows[0])

@@ -1,6 +1,6 @@
 """Exact integer linear algebra and number-theory helpers.
 
-Everything here is exact: Bareiss elimination for integer determinants
+Everything here is exact: closed-form (k = 2, 3) and Bareiss determinants
 and the fraction-free L D L^T that the lattice layer runs on, integer
 square and cube roots, and Fractions only for parsing and the
 Bernoulli/Faulhaber sums.  No floats enter any comparison.
@@ -9,6 +9,7 @@ Bernoulli/Faulhaber sums.  No floats enter any comparison.
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt
+from operator import mul
 
 from .errors import InvariantError, PreconditionError
 
@@ -29,18 +30,22 @@ def identity_int(k):
 
 
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(
-        tuple(sum(a[i][t] * b[t][j] for t in range(m)) for j in range(p))
-        for i in range(n)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
 def det_int(m):
-    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    """Exact determinant of an integer matrix: closed forms for k = 2 and
+    k = 3, Bareiss elimination above."""
     k = len(m)
     if any(len(row) != k for row in m):
         raise PreconditionError("determinant needs a square matrix")
+    if k == 2:
+        (a, b), (c, d) = m
+        return a * d - b * c
+    if k == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     a = [list(row) for row in m]
     sign = 1
     prev = 1

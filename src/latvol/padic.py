@@ -13,7 +13,13 @@ from itertools import product
 from math import prod
 
 from .dirichlet import riemann_zeta
-from .errors import K_CAP, BudgetExceededError, InvariantError, PreconditionError
+from .errors import (
+    CELL_DIGITS,
+    K_CAP,
+    BudgetExceededError,
+    InvariantError,
+    PreconditionError,
+)
 from .linalg import det_int
 
 _SIEVE_CAP = 1_000_000
@@ -220,18 +226,24 @@ def tamagawa_factors_table(k, P):
 
     factor is sl_density(k, p) built from its integer terms; the sieve
     already vouches that p is prime.  The running product multiplies in
-    num / den, the correctly rounded float of the factor.
+    num / den, the correctly rounded float of the factor.  The longest
+    cell is the last factor, whose numerator is below its denominator
+    p^(k(k+1)/2 - 1), so a table that report could not print is refused
+    before any factor is built.
     """
     from .report import Table
 
     if P < 2:
         raise PreconditionError("P must be >= 2")
     _require_k(k, 2)
+    ps = primes_up_to(P)
+    if ps[-1] ** (k * (k + 1) // 2 - 1) >= 10**CELL_DIGITS:
+        raise BudgetExceededError(f"integer cell longer than {CELL_DIGITS} digits")
     running = 1.0
     for j in range(2, k + 1):
         running *= riemann_zeta(j)
     rows = []
-    for p in primes_up_to(P):
+    for p in ps:
         num, den = _unit_terms(p, 2, k)
         running *= num / den
         rows.append((p, Fraction(num, den), running))

@@ -11,12 +11,9 @@ import io
 import json
 from fractions import Fraction
 
-from .errors import BudgetExceededError, PreconditionError
+from .errors import CELL_DIGITS, BudgetExceededError, PreconditionError
 
-# Python's default limit on int-to-decimal conversion; a longer cell is
-# refused (CLI exit 4) instead of failing inside str()
-_CELL_DIGITS = 4300
-_CELL_BOUND = 10**_CELL_DIGITS
+_CELL_BOUND = 10**CELL_DIGITS
 
 
 class Table:
@@ -59,7 +56,7 @@ class Table:
 
 def _digits(n):
     if not -_CELL_BOUND < n < _CELL_BOUND:
-        raise BudgetExceededError(f"integer cell longer than {_CELL_DIGITS} digits")
+        raise BudgetExceededError(f"integer cell longer than {CELL_DIGITS} digits")
     return str(n)
 
 

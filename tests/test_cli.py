@@ -248,6 +248,26 @@ def test_unprintable_cell_exit_4(capsys, argv, fmt):
     assert "4300 digits" in record["message"]
 
 
+def test_unprintable_tamagawa_table_refused_quickly(capsys):
+    # the 1,229 factors at k = 100 take about 15 s to build, and the last
+    # one cannot print, so the table is refused before the first is built
+    records = []
+    for fmt in ("csv", "json"):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "tamagawa", "--k", "100", "--p-max", "10000", "--format", fmt
+        )
+        assert time.perf_counter() - start < 1.0, fmt
+        assert code == 4 and out == "", fmt
+        records.append(err)
+    assert records[0] == records[1] and records[0].count("\n") == 1
+    assert json.loads(records[0])["error"] == {
+        "type": "BudgetExceededError",
+        "exit_code": 4,
+        "message": "integer cell longer than 4300 digits",
+    }
+
+
 def test_invariant_exit_5(capsys, monkeypatch):
     def boom(k, p):
         raise InvariantError("forced for the exit-code contract")

@@ -270,6 +270,20 @@ def test_greedy_basis_pinned_and_unimodular():
             assert dot(g.vectors[i], g.vectors[i]) <= g.alphas_sq[i] + slack
 
 
+def test_cached_searches_match_a_fresh_lattice():
+    # each lattice keeps its shortest vector and greedy basis; the public
+    # functions give the same values in every call order
+    calls = {f.__name__: f for f in (shortest_vector, greedy_basis, minbasis_sq)}
+    rng = random.Random(21)
+    bases = [((6, 1), (-7, -1))] + [H.rand_rows(rng, 2 + i % 2) for i in range(39)]
+    for rows in bases:
+        fresh = {name: f(LatticeBasis(rows)) for name, f in calls.items()}
+        for order in itertools.permutations(calls):
+            L = LatticeBasis(rows)
+            for name in order:
+                assert calls[name](L) == fresh[name], (rows, order, name)
+
+
 def test_minbasis_pinned_cases():
     assert minbasis_sq(LatticeBasis([(1, 0), (0, 1)])) == 2
     assert minbasis_sq(LatticeBasis([(49, 0), (18, 1)])) == 107

@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -17,12 +19,36 @@ from latvol.linalg import (
 )
 
 
+def _leibniz(m):
+    k = len(m)
+    total = 0
+    for p in itertools.permutations(range(k)):
+        inversions = sum(p[i] > p[j] for i in range(k) for j in range(i + 1, k))
+        total += (-1) ** inversions * math.prod(m[i][p[i]] for i in range(k))
+    return total
+
+
 def test_det_int_matches_cofactor_expansion():
+    # k = 2 and 3 take closed forms, k = 1 and 4 Bareiss elimination
     rng = random.Random(1)
-    for _ in range(200):
-        k = rng.choice((2, 3, 4))
-        m = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
-        assert det_int(m) == H.det(m)
+    seen = set()
+    for _ in range(400):
+        k = rng.choice((1, 2, 3, 4))
+        e = rng.choice((9, 10**40))
+        m = [[rng.randint(-e, e) for _ in range(k)] for _ in range(k)]
+        d = det_int(m)
+        assert d == H.det(m) == _leibniz(m), m
+        assert det_int(tuple(map(tuple, m))) == d
+        seen.add((k, d > 0))
+        if k == 1:
+            assert det_int([[0]]) == 0
+            continue
+        # a row swap negates it; a row combining two others makes it singular
+        assert det_int([m[1], m[0]] + m[2:]) == -d
+        a, b = rng.randint(-e, e), rng.randint(-e, e)
+        singular = m[:-1] + [[a * x + b * y for x, y in zip(m[0], m[-2])]]
+        assert det_int(singular) == 0 == _leibniz(singular)
+    assert seen == {(k, s) for k in (1, 2, 3, 4) for s in (False, True)}
 
 
 def test_icbrt_is_the_floor_cube_root():

@@ -19,6 +19,7 @@ from latvol.padic import (
     tamagawa_factors_table,
     tamagawa_partial,
 )
+from latvol.report import render
 
 
 def test_prime_utilities():
@@ -140,6 +141,16 @@ def test_index_local_factors():
         index_local_factors([[1, 2], [2, 4]])
     with pytest.raises(BudgetExceededError):
         index_local_factors(10**13)
+
+
+def test_tamagawa_table_refuses_unprintable_factor_up_front():
+    # the last factor's denominator is p^5049 at k = 100: 7^5049 has 4,267
+    # digits and prints, 11^5049 has 5,258 and is refused before the loop
+    table = tamagawa_factors_table(100, 10)
+    assert [row[0] for row in table.rows] == [2, 3, 5, 7]
+    render(table, "csv")
+    with pytest.raises(BudgetExceededError, match="longer than 4300 digits"):
+        tamagawa_factors_table(100, 11)
 
 
 def test_tamagawa_partial_matches_direct_product():

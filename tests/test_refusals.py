@@ -14,7 +14,7 @@ from latvol.dirichlet import (
     volume_constant,
 )
 from latvol.errors import PreconditionError
-from latvol.fundomain import size_sq
+from latvol.fundomain import compare_distance, size_sq
 from latvol.hnf import count_with_short_vector, enumerate_hnf, hnf_of
 from latvol.kernels import sigma_cumsum
 from latvol.lattice import LatticeBasis, minbasis_sq
@@ -64,6 +64,12 @@ REFUSALS = {
     "format_cell complex": lambda: format_cell(1j),
     "parse_csv empty": lambda: parse_csv(""),
     "size_sq 4x4": lambda: size_sq([[1 if i == j else 0 for j in range(4)] for i in range(4)]),
+    "compare_distance 2x2 A, 3x3 gamma": lambda: compare_distance(
+        [[2, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]
+    ),
+    "compare_distance 3x3 A, 2x2 gamma": lambda: compare_distance(
+        [[2, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]], [[1, 0], [0, 1]]
+    ),
 }
 
 
