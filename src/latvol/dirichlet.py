@@ -200,18 +200,29 @@ def product_error_table(T_list):
 
 
 def product_error_scan(T_max):
-    """(sup, argmax) of the normalized sigma-summatory error over T <= T_max."""
+    """(sup, argmax) of the normalized sigma-summatory error over T <= T_max.
+
+    The first maximizer wins.  Peak memory is sigma_cumsum's 8 (T_max + 1)
+    bytes plus a few float arrays of kernels._CHUNK elements: the error
+    is evaluated one chunk of T at a time.
+    """
     if T_max < 1:
         raise PreconditionError("T_max must be >= 1")
     import numpy as np
 
     cs = kernels.sigma_cumsum(T_max)
     z2 = riemann_zeta(2)
-    t = np.arange(1, T_max + 1, dtype=np.float64)
-    e = cs[1:].astype(np.float64) - z2 * t * t / 2.0
-    norm = np.abs(e) / (t * (1.0 + np.log(t)))
-    i = int(np.argmax(norm))
-    return float(norm[i]), i + 1
+    step = kernels._CHUNK
+    sup, arg = -1.0, 0
+    for lo in range(1, T_max + 1, step):
+        hi = min(lo + step, T_max + 1)
+        t = np.arange(lo, hi, dtype=np.float64)
+        e = cs[lo:hi].astype(np.float64) - z2 * t * t / 2.0
+        norm = np.abs(e) / (t * (1.0 + np.log(t)))
+        i = int(np.argmax(norm))
+        if norm[i] > sup:
+            sup, arg = float(norm[i]), lo + i
+    return sup, arg
 
 
 def abelian_limit(k, s_list):

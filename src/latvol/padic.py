@@ -24,6 +24,9 @@ from .linalg import det_int
 
 _SIEVE_CAP = 1_000_000
 _ENUM_BUDGET = 200_000
+# tamagawa_partial's bound on the bits of its exact prime products:
+# (3, 10^5) needs about 10^6, (50, 10^4) about 2.2 * 10^7
+_PRODUCT_BITS = 20_000_000
 
 
 def is_prime(n):
@@ -205,19 +208,23 @@ def _tree_prod(items):
 def tamagawa_partial(k, P):
     """prod_{j=2..k} zeta(j) * prod_{p <= P} (1 - p^-j); approaches 1 from above.
 
-    The prime product is computed as one exact rational per j before the
-    single float conversion, so error comes only from zeta and the final
-    products.
+    The prime product is computed as one exact integer pair per j, whose
+    quotient num / den is the correctly rounded float, so error comes
+    only from zeta and the final products.  The pairs' sizes add up to
+    at most k(k+1)/2 * pi(P) * P.bit_length() bits; past _PRODUCT_BITS
+    the call is refused before any product is built.
     """
     if P < 2:
         raise PreconditionError("P must be >= 2")
     _require_k(k, 2)
     ps = primes_up_to(P)
+    if k * (k + 1) // 2 * len(ps) * P.bit_length() > _PRODUCT_BITS:
+        raise BudgetExceededError(f"prime products capped at {_PRODUCT_BITS} bits")
     value = 1.0
     for j in range(2, k + 1):
         num = _tree_prod([p**j - 1 for p in ps])
         den = _tree_prod([p**j for p in ps])
-        value *= riemann_zeta(j) * float(Fraction(num, den))
+        value *= riemann_zeta(j) * (num / den)
     return value
 
 

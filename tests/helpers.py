@@ -8,6 +8,7 @@ run_python, which starts a fresh interpreter for import checks.
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -23,6 +24,17 @@ def run_python(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def peak_bytes(call):
+    """Peak bytes traced by tracemalloc during call(), after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def sigma_table(n):

@@ -2,9 +2,11 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 import helpers as H
+from latvol import dirichlet, kernels
 from latvol.dirichlet import (
     DirichletSeries,
     abelian_limit,
@@ -105,6 +107,46 @@ def test_product_error_scan_matches_table():
     # scan agrees with per-T table values
     t = product_error_table([2])
     assert sup == pytest.approx(t.rows[0][2], abs=1e-12)
+
+
+def _scan_one_shot(cs, z2):
+    """(sup, argmax) over the whole cumsum at once, as a reference."""
+    T = len(cs) - 1
+    t = np.arange(1, T + 1, dtype=np.float64)
+    e = cs[1:].astype(np.float64) - z2 * t * t / 2.0
+    norm = np.abs(e) / (t * (1.0 + np.log(t)))
+    i = int(np.argmax(norm))
+    return float(norm[i]), i + 1
+
+
+def test_product_error_scan_at_chunk_edges():
+    c = kernels._CHUNK
+    z2 = riemann_zeta(2)
+    cs = kernels.sigma_cumsum(2 * c + 1)
+    for T in (1, 2, 3, 10, c - 1, c, c + 1, 2 * c - 1, 2 * c + 1):
+        assert product_error_scan(T) == _scan_one_shot(cs[: T + 1], z2), T
+
+
+@pytest.mark.parametrize("chunk", (1, 2, 3, 7))
+def test_product_error_scan_merges_chunks(monkeypatch, chunk):
+    # on the true sums the sup sits at T = 2, in the first chunk; random
+    # cumsums put it anywhere, and an overflowing zeta(2) makes every
+    # T >= 14 tie at inf, so the first of the tied T must win
+    monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for T in (1, 2, 5, 40, 41, 100):
+        cs = np.concatenate(([0], rng.integers(0, 10**6, T)))
+        monkeypatch.setattr(kernels, "sigma_cumsum", lambda n: cs)
+        assert product_error_scan(T) == _scan_one_shot(cs, riemann_zeta(2)), T
+    monkeypatch.setattr(dirichlet, "riemann_zeta", lambda s: 1e306)
+    cs = np.zeros(41, dtype=np.int64)
+    with np.errstate(over="ignore"):
+        assert product_error_scan(40) == _scan_one_shot(cs, 1e306) == (math.inf, 14)
+
+
+def test_product_error_scan_peak_is_cumsum_plus_chunks():
+    n = 10**6
+    assert H.peak_bytes(lambda: product_error_scan(n)) <= 8 * (n + 1) + 4 * 2**20
 
 
 def test_abelian_limit_table():

@@ -167,6 +167,18 @@ def test_tamagawa_partial_matches_direct_product():
         tamagawa_partial(2, 1)
 
 
+def test_tamagawa_partial_is_the_rounded_exact_product():
+    # the float of the exact product over p <= P, computed through Fraction
+    for k, P in ((2, 2000), (3, 5000), (6, 500)):
+        want = 1.0
+        for j in range(2, k + 1):
+            exact = Fraction(1)
+            for p in primes_up_to(P):
+                exact *= Fraction(p**j - 1, p**j)
+            want *= riemann_zeta(j) * float(exact)
+        assert tamagawa_partial(k, P) == want, (k, P)
+
+
 def test_tamagawa_factors_table():
     t = tamagawa_factors_table(2, 10)
     assert t.schema == "tamagawa"

@@ -13,7 +13,7 @@ from latvol.dirichlet import (
     summatory,
     volume_constant,
 )
-from latvol.errors import PreconditionError
+from latvol.errors import BudgetExceededError, PreconditionError
 from latvol.fundomain import compare_distance, size_sq
 from latvol.hnf import count_with_short_vector, enumerate_hnf, hnf_of
 from latvol.kernels import sigma_cumsum
@@ -24,7 +24,7 @@ from latvol.measure import (
     disc_lattice_count,
     slope_directions,
 )
-from latvol.padic import gl_count_modp, sl_count_modp
+from latvol.padic import gl_count_modp, sl_count_modp, tamagawa_partial
 from latvol.report import format_cell, parse_csv
 
 
@@ -61,6 +61,7 @@ REFUSALS = {
     "sl method": lambda: sl_count_modp(2, 3, method="guess"),
     "gl k=0": lambda: gl_count_modp(0, 3),
     "sl k=0": lambda: sl_count_modp(0, 3),
+    "tamagawa_partial(100, 10^4)": lambda: tamagawa_partial(100, 10**4),
     "format_cell complex": lambda: format_cell(1j),
     "parse_csv empty": lambda: parse_csv(""),
     "size_sq 4x4": lambda: size_sq([[1 if i == j else 0 for j in range(4)] for i in range(4)]),
@@ -73,10 +74,14 @@ REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("call", REFUSALS.values(), ids=REFUSALS.keys())
-def test_refusal(call):
-    with pytest.raises(PreconditionError):
-        call()
+# refused for their size (exit 4); the other entries break a precondition
+OVER_BUDGET = {"tamagawa_partial(100, 10^4)"}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal(name):
+    with pytest.raises(BudgetExceededError if name in OVER_BUDGET else PreconditionError):
+        REFUSALS[name]()
 
 
 def test_minbasis_at_rank_one_is_the_squared_length():
