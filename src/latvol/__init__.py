@@ -15,7 +15,6 @@ from .dirichlet import (
     riemann_zeta,
     sigma_summatory,
     subgroup_zeta,
-    summatory,
     volume_constant,
 )
 from .errors import (
@@ -51,17 +50,11 @@ from .lattice import (
     shortest_vector,
 )
 from .measure import (
-    RegionCounter,
     cone_point_count,
-    count_scaled_points,
-    disc_counter,
     disc_lattice_count,
-    empty_counter,
-    mu_Z_table,
     normalization_constant,
     spike_demo,
     spike_line_counts,
-    unit_box_counter,
     volume_ratio_experiment,
 )
 from .padic import (
@@ -77,7 +70,7 @@ from .padic import (
     tamagawa_factors_table,
     tamagawa_partial,
 )
-from .report import Table, parse_csv, to_csv, to_json
+from .report import Table, to_csv, to_json
 
 __version__ = "0.1.0"
 
@@ -91,20 +84,16 @@ __all__ = [
     "LatvolError",
     "PreconditionError",
     "ReduceResult",
-    "RegionCounter",
     "Table",
     "abelian_limit",
     "compare_distance",
     "cone_point_count",
     "convolve",
     "count_by_index",
-    "count_scaled_points",
     "count_sublattices",
     "count_with_short_vector",
     "covol_sq",
-    "disc_counter",
     "disc_lattice_count",
-    "empty_counter",
     "enumerate_hnf",
     "gl_count_modp",
     "gl_density",
@@ -117,9 +106,7 @@ __all__ = [
     "local_zeta",
     "minbasis_sq",
     "minimal_lift",
-    "mu_Z_table",
     "normalization_constant",
-    "parse_csv",
     "primes_up_to",
     "product_error_scan",
     "product_error_table",
@@ -135,12 +122,10 @@ __all__ = [
     "spike_demo",
     "spike_line_counts",
     "subgroup_zeta",
-    "summatory",
     "tamagawa_factors_table",
     "tamagawa_partial",
     "to_csv",
     "to_json",
-    "unit_box_counter",
     "volume_constant",
     "volume_ratio_experiment",
 ]

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 from . import dirichlet, fundomain, hnf, measure, padic, report
-from .errors import InvariantError, LatvolError, PreconditionError
+from .errors import K_CAP, InvariantError, LatvolError, PreconditionError
 
 
 def _fraction(text):
@@ -123,8 +123,17 @@ def _cmd_dirichlet_product(args):
 
 
 def _cmd_abelian(args):
-    s_list = [args.k + 10.0**-m for m in range(1, args.m_max + 1)]
-    return dirichlet.abelian_limit(args.k, s_list)
+    # s = k + 10^-m falls with m until it rounds to k, so m_max is checked by
+    # its own s before the list exists; abelian_limit refuses a bad k first
+    k, m_max = args.k, args.m_max
+    s_list = []
+    if 1 <= k <= K_CAP:
+        if m_max < 1:
+            raise PreconditionError("m_max must be >= 1")
+        if k + 10.0**-m_max == k:
+            raise PreconditionError("s must stay in the convergence region s > k")
+        s_list = [k + 10.0**-m for m in range(1, m_max + 1)]
+    return dirichlet.abelian_limit(k, s_list)
 
 
 def _cmd_cone_count(args):

@@ -6,12 +6,11 @@ silently.  zeta is evaluated by Euler-Maclaurin with an implemented
 remainder bound, giving 1e-12 absolute error on [1.001, 50].
 """
 
-import csv
 from fractions import Fraction
-from math import factorial, floor, fsum, log
+from math import factorial, fsum, log
 
 from . import kernels
-from .errors import PreconditionError
+from .errors import K_CAP, BudgetExceededError, PreconditionError
 from .linalg import bernoulli
 from .report import Table
 
@@ -35,9 +34,6 @@ class DirichletSeries:
     def __len__(self):
         return len(self.coefficients)
 
-    def a(self, n):
-        return self.coefficients[n - 1]
-
     @classmethod
     def ones(cls, N):
         """Prefix of zeta: a_n = 1."""
@@ -47,37 +43,6 @@ class DirichletSeries:
     def shifted(cls, N):
         """Prefix of zeta(s - 1): a_n = n."""
         return cls(range(1, N + 1))
-
-    @classmethod
-    def delta(cls, N):
-        """Convolution identity: a_1 = 1, the rest 0."""
-        return cls([1] + [0] * (N - 1))
-
-    @classmethod
-    def from_csv(cls, path):
-        """Load a two-column CSV (n, a_n) with n = 1..N in order."""
-        coeffs = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            for row in csv.reader(fh):
-                if not row:
-                    continue
-                if not coeffs and not row[0].strip().lstrip("-").isdigit():
-                    continue  # header row
-                if len(row) != 2:
-                    raise PreconditionError("expected two columns (n, a_n)")
-                n = int(row[0])
-                if n != len(coeffs) + 1:
-                    raise PreconditionError(f"rows must run n = 1..N, got {n}")
-                coeffs.append(Fraction(row[1]))
-        return cls(coeffs)
-
-
-def summatory(f, T):
-    """Exact partial sum A(T) = sum of a_n with n <= T."""
-    T = Fraction(T)
-    if T > len(f):
-        raise PreconditionError("T beyond the stored prefix")
-    return sum(f.coefficients[: max(floor(T), 0)], Fraction(0))
 
 
 def convolve(f, g, N):
@@ -159,9 +124,11 @@ def subgroup_zeta(k, s):
 
 
 def volume_constant(k):
-    """zeta(2) zeta(3) ... zeta(k) / k; the empty product makes k = 1 give 1."""
+    """zeta(2) zeta(3) ... zeta(k) / k for k <= errors.K_CAP; k = 1 gives 1."""
     if k < 1:
         raise PreconditionError("k must be >= 1")
+    if k > K_CAP:
+        raise BudgetExceededError(f"volume constant capped at k <= {K_CAP}")
     v = 1.0
     for j in range(2, k + 1):
         v *= riemann_zeta(j)
@@ -229,10 +196,12 @@ def abelian_limit(k, s_list):
     """Table of (s, (s - k) psi(s)) as s decreases to the pole at k.
 
     psi is subgroup_zeta(k, .), whose scaled values approach
-    zeta(2)...zeta(k).
+    zeta(2)...zeta(k).  k is capped at errors.K_CAP.
     """
     if k < 1:
         raise PreconditionError("rank k must be >= 1")
+    if k > K_CAP:
+        raise BudgetExceededError(f"abelian limit capped at k <= {K_CAP}")
     svals = [float(s) for s in s_list]
     if any(s <= k for s in svals):
         raise PreconditionError("s must stay in the convergence region s > k")

@@ -23,7 +23,7 @@ class PreconditionError(LatvolError):
 
 
 class BudgetExceededError(LatvolError):
-    """An enumeration or grid exceeded its computational budget (CLI exit 4)."""
+    """An enumeration or count exceeded its computational budget (CLI exit 4)."""
 
     exit_code = 4
 

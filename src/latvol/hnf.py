@@ -145,29 +145,40 @@ def enumerate_hnf(k, max_det):
 
 
 # hyperbola blocks one count may run; count_sublattices(4, 10^5), the
-# largest use in the tests and benchmarks, charges about 58,000
+# largest use in the tests and benchmarks, charges 57,520
 _COUNT_BLOCK_BUDGET = 1_000_000
 
 
-def _count_exact(k, T, memo, spent):
-    # count_k(T) = sum_{n <= T} n^{k-1} count_{k-1}(floor(T/n)), big ints;
-    # spent[0] is the block bound charged so far (see count_sublattices)
+def _count_blocks(k, T):
+    """count_sublattices' block charge, or a partial sum past the budget.
+
+    Level k holds T, and every level from k - 1 down to 2 memoizes exactly
+    the distinct values x of floor(T/n); each key charges 2 isqrt(x).
+    """
+    total = 2 * isqrt(T) if k > 1 else 0
+    n = 1
+    while k > 2 and n <= T and total <= _COUNT_BLOCK_BUDGET:
+        x = T // n
+        total += (k - 2) * 2 * isqrt(x)
+        n = T // x + 1
+    return total
+
+
+def _count_exact(k, T, memo):
+    # count_k(T) = sum_{n <= T} n^{k-1} count_{k-1}(floor(T/n)), big ints
     if k == 1:
         return T
     key = (k, T)
     val = memo.get(key)
     if val is not None:
         return val
-    spent[0] += 2 * isqrt(T)
-    if spent[0] > _COUNT_BLOCK_BUDGET:
-        raise BudgetExceededError(f"count capped at {_COUNT_BLOCK_BUDGET} blocks")
     total = 0
     d = 1
     while d <= T:
         q = T // d
         dmax = T // q
         total += (power_sum(k - 1, dmax) - power_sum(k - 1, d - 1)) * _count_exact(
-            k - 1, q, memo, spent
+            k - 1, q, memo
         )
         d = dmax + 1
     memo[key] = total
@@ -179,15 +190,17 @@ def count_sublattices(k, T):
 
     The recursion runs on arbitrary-precision integers, so overflow is
     excluded structurally rather than detected after the fact.  Each
-    memoized level charges 2 isqrt(T) hyperbola blocks, a bound on the
-    distinct values of floor(T/n), before its loop; a count whose
-    charges pass _COUNT_BLOCK_BUDGET raises BudgetExceededError.
+    memoized level is charged 2 isqrt(T) hyperbola blocks, a bound on the
+    distinct values of floor(T/n); a count whose total charge passes
+    _COUNT_BLOCK_BUDGET raises BudgetExceededError before the recursion.
     """
     if k < 1:
         raise PreconditionError("rank must be >= 1")
     if T < 1:
         raise PreconditionError("threshold must be >= 1")
-    return _count_exact(k, T, {}, [0])
+    if _count_blocks(k, T) > _COUNT_BLOCK_BUDGET:
+        raise BudgetExceededError(f"count capped at {_COUNT_BLOCK_BUDGET} blocks")
+    return _count_exact(k, T, {})
 
 
 def count_by_index(k, n):

@@ -1,23 +1,15 @@
-"""Lattice-point counting measure on regions of R^n.
+"""Cross-checks and experiments on the volume side.
 
-For a bounded region U the scaled count is N_r(U) = r^n * #(U cap r Z^n),
-and the measure of interest is the r -> 0 limit when it exists.  Counts
-are taken over an explicit bounding box with exact rational grid
-coordinates, so each N_r here is an exact rational; convergence is
-reported in tables, never asserted.
-
-Also houses the cone-count cross-check (sublattice recursion vs
-reduction into the fundamental cone), the volume-ratio experiment, the
-normalization constant, and the spike construction: segments of rational
-slope rescaled so that a set of Lebesgue measure zero keeps, line for
-line, the exact lattice-point counts of the base segments.
+The cone-count cross-check (sublattice recursion vs reduction into the
+fundamental cone), the volume-ratio experiment, the normalization
+constant, the closed-disc count N_r = r^2 #(disc cap r Z^2), and the
+spike construction: segments of rational slope rescaled so that a set of
+Lebesgue measure zero keeps, line for line, the exact lattice-point
+counts of the base segments.
 """
 
-import random
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor, gcd, prod
-from typing import NamedTuple
+from math import gcd
 
 from . import kernels
 from .dirichlet import volume_constant
@@ -27,85 +19,6 @@ from .hnf import count_sublattices, enumerate_hnf
 from .linalg import det_int, floor_sqrt_frac
 from .report import Table
 
-_GRID_CAP = 2_000_000
-_OUTSIDE_SAMPLES = 32
-
-
-class RegionCounter(NamedTuple):
-    """A region given by a membership test, a grid scale, and a bounding box.
-
-    membership receives a tuple of exact rationals; box is a sequence of
-    (lo, hi) pairs that must contain the region.
-    """
-
-    dimension: int
-    membership: object
-    scale: Fraction
-    box: tuple
-
-
-def count_scaled_points(counter):
-    """Count the r-grid points of a region and return (count, N_r).
-
-    Iterates the integer grid of the bounding box (at most _GRID_CAP
-    points), then spot-checks at _OUTSIDE_SAMPLES points per face that
-    membership vanishes one grid step outside the box (InvariantError
-    otherwise, since the count would be untrustworthy).
-    """
-    r = Fraction(counter.scale)
-    if r <= 0:
-        raise PreconditionError("scale must be positive")
-    if counter.dimension < 1 or len(counter.box) != counter.dimension:
-        raise PreconditionError("box must list one (lo, hi) pair per dimension")
-    ranges = []
-    for lo, hi in counter.box:
-        lo, hi = Fraction(lo), Fraction(hi)
-        if lo > hi:
-            raise PreconditionError("box has lo > hi")
-        ranges.append(range(ceil(lo / r), floor(hi / r) + 1))
-    total = prod(len(rg) for rg in ranges)
-    if total > _GRID_CAP:
-        raise BudgetExceededError(f"grid of {total} points exceeds {_GRID_CAP}")
-    count = 0
-    for point in product(*ranges):
-        if counter.membership(tuple(v * r for v in point)):
-            count += 1
-    rng = random.Random(310_810)
-    for axis in range(counter.dimension):
-        for outside in (ranges[axis].start - 1, ranges[axis].stop):
-            for _ in range(_OUTSIDE_SAMPLES):
-                pt = [rng.choice(rg) if len(rg) else 0 for rg in ranges]
-                pt[axis] = outside
-                if counter.membership(tuple(v * r for v in pt)):
-                    raise InvariantError("membership extends outside the declared box")
-    return count, r**counter.dimension * count
-
-
-def unit_box_counter(r, dimension=2):
-    """Half-open unit box [0, 1)^n; tiles the plane, so N_r is exactly 1
-    whenever 1/r is an integer."""
-
-    def member(p):
-        return all(0 <= x < 1 for x in p)
-
-    box = tuple((Fraction(0), Fraction(1)) for _ in range(dimension))
-    return RegionCounter(dimension, member, Fraction(r), box)
-
-
-def disc_counter(r, radius=1):
-    radius = Fraction(radius)
-
-    def member(p):
-        return sum(x * x for x in p) <= radius * radius
-
-    box = ((-radius, radius), (-radius, radius))
-    return RegionCounter(2, member, Fraction(r), box)
-
-
-def empty_counter(r, dimension=2):
-    box = tuple((Fraction(0), Fraction(0)) for _ in range(dimension))
-    return RegionCounter(dimension, lambda p: False, Fraction(r), box)
-
 
 def _decreasing_fractions(r_list):
     rs = [Fraction(r) for r in r_list]
@@ -114,15 +27,6 @@ def _decreasing_fractions(r_list):
     if any(rs[i] <= rs[i + 1] for i in range(len(rs) - 1)):
         raise PreconditionError("scales must be strictly decreasing")
     return rs
-
-
-def mu_Z_table(region_factory, r_list):
-    """Table of (r, count, N_r) for a family of regions at shrinking scales."""
-    rows = []
-    for r in _decreasing_fractions(r_list):
-        count, n_r = count_scaled_points(region_factory(r))
-        rows.append((r, count, n_r))
-    return Table("mu_z", ("r", "count", "N_r"), rows)
 
 
 def disc_lattice_count(r, radius=1):

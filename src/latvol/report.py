@@ -111,10 +111,3 @@ def render(table, fmt):
         return to_json(table)
     raise PreconditionError(f"unknown format {fmt!r}")
 
-
-def parse_csv(text):
-    """(header, rows) of string cells; inverse of to_csv up to typing."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise PreconditionError("empty CSV document")
-    return rows[0], rows[1:]

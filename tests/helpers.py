@@ -2,9 +2,12 @@
 
 Everything here is written from the defining formulas so that library
 results can be checked against a second implementation, except
-run_python, which starts a fresh interpreter for import checks.
+run_python, which starts a fresh interpreter for import checks, and
+parse_csv, which reads the CLI's CSV output back.
 """
 
+import csv
+import io
 import os
 import subprocess
 import sys
@@ -24,6 +27,12 @@ def run_python(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
+
+
+def parse_csv(text):
+    """(header, rows) of string cells; inverse of latvol's to_csv up to typing."""
+    header, *rows = csv.reader(io.StringIO(text))
+    return header, rows
 
 
 def peak_bytes(call):

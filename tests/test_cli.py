@@ -8,7 +8,6 @@ import pytest
 import helpers as H
 from latvol import cli
 from latvol.errors import K_CAP, InvariantError
-from latvol.report import parse_csv
 
 SUBCOMMANDS = [
     "count",
@@ -45,7 +44,7 @@ def test_all_subcommands_registered():
 def test_count_example(capsys):
     code, out, err = run(capsys, "count", "--k", "2", "--max-index", "10")
     assert code == 0 and err == ""
-    header, rows = parse_csv(out)
+    header, rows = H.parse_csv(out)
     assert header == ["T", "count", "reference", "ratio"]
     assert rows[0][0] == "10" and rows[0][1] == "87"
 
@@ -59,7 +58,7 @@ def test_local_check_output(capsys):
 def test_reduce_warning_example(capsys):
     code, out, _ = run(capsys, "reduce", "--matrix", "49,18;0,1")
     assert code == 0
-    _, rows = parse_csv(out)
+    _, rows = H.parse_csv(out)
     assert rows[0][1] == "5,-3;3,8"
     assert rows[0][3] == "false"
 
@@ -80,7 +79,7 @@ def test_json_output_parses(capsys):
 def test_csv_round_trip_exact(capsys):
     code, out, _ = run(capsys, "singular", "--k", "2", "--p", "2", "--n", "2")
     assert code == 0
-    _, rows = parse_csv(out)
+    _, rows = H.parse_csv(out)
     assert Fraction(rows[0][3]) == Fraction(11, 32)
     assert Fraction(rows[0][4]) == Fraction(1, 2)
 
@@ -100,7 +99,7 @@ def test_output_file(tmp_path, capsys):
         capsys, "zeta", "--s", "2,3", "--output", str(target)
     )
     assert code == 0 and out == ""
-    header, rows = parse_csv(target.read_text())
+    header, rows = H.parse_csv(target.read_text())
     assert header == ["s", "value"]
     assert abs(float(rows[0][1]) - 1.6449340668482264) < 1e-12
 
@@ -297,6 +296,6 @@ def test_unexpected_error_exit_5(capsys, monkeypatch):
 def test_spike_demo_default_scales(capsys):
     code, out, _ = run(capsys, "spike-demo", "--m", "3")
     assert code == 0
-    _, rows = parse_csv(out)
+    _, rows = H.parse_csv(out)
     assert rows[0][0] == "1/10" and rows[1][0] == "1/100"
     assert rows[0][4] == rows[0][2]

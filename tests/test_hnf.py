@@ -1,8 +1,10 @@
 import random
+from math import isqrt
 
 import pytest
 
 import helpers as H
+from latvol import hnf
 from latvol.errors import BudgetExceededError, PreconditionError
 from latvol.hnf import (
     HnfMatrix,
@@ -127,6 +129,16 @@ def test_count_sublattices_matches_enumeration():
     sig = H.sigma_table(40)
     for t in range(1, 41):
         assert count_sublattices(2, t) == sum(sig[1 : t + 1])
+
+
+def test_count_blocks_match_the_memo_keys():
+    # the up-front charge is 2 isqrt(x) summed over the (level, x) keys
+    # the recursion memoizes, levels k down to 2
+    for k in (1, 2, 3, 4, 5):
+        for t in (1, 2, 3, 10, 99, 1000):
+            memo = {}
+            hnf._count_exact(k, t, memo)
+            assert hnf._count_blocks(k, t) == sum(2 * isqrt(x) for _, x in memo), (k, t)
 
 
 def test_count_sublattices_preconditions():

@@ -1,75 +1,28 @@
-import random
 from fractions import Fraction
 
 import pytest
 
-from latvol.errors import BudgetExceededError, InvariantError, PreconditionError
+import helpers as H
+from latvol.errors import BudgetExceededError, PreconditionError
 from latvol.measure import (
-    RegionCounter,
     cone_point_count,
-    count_scaled_points,
-    disc_counter,
     disc_lattice_count,
-    empty_counter,
-    mu_Z_table,
     normalization_constant,
     slope_directions,
     spike_demo,
     spike_line_counts,
-    unit_box_counter,
     volume_ratio_experiment,
 )
 
 
-def test_unit_box_counts():
-    count, n_r = count_scaled_points(unit_box_counter(Fraction(1, 10)))
-    assert (count, n_r) == (100, 1)
-    count, n_r = count_scaled_points(unit_box_counter(Fraction(1, 7)))
-    assert (count, n_r) == (49, 1)
-    count, n_r = count_scaled_points(unit_box_counter(Fraction(1, 3), dimension=3))
-    assert (count, n_r) == (27, 1)
-
-
 def test_disc_counts():
-    count, n_r = count_scaled_points(disc_counter(Fraction(1, 2)))
-    assert count == 13 and n_r == Fraction(13, 4)
-    k_count, k_n_r = disc_lattice_count(Fraction(1, 2))
-    assert (k_count, k_n_r) == (count, n_r)
+    count, n_r = disc_lattice_count(Fraction(1, 2))
+    assert count == H.disc_points(4) == 13 and n_r == Fraction(13, 4)
+    count, n_r = disc_lattice_count(Fraction(2, 7), radius=Fraction(3, 2))
+    assert count == H.disc_points(27) and n_r == Fraction(4, 49) * count
     # N_r approaches pi as r shrinks
     _, n_r = disc_lattice_count(Fraction(1, 1000))
     assert abs(float(n_r) - 3.14159265) < 1e-2
-
-
-def test_empty_region():
-    count, n_r = count_scaled_points(empty_counter(Fraction(1, 5)))
-    assert (count, n_r) == (0, 0)
-
-
-def test_membership_outside_box_is_an_invariant_failure():
-    # claims the whole plane but declares a unit box
-    liar = RegionCounter(
-        2,
-        lambda p: True,
-        Fraction(1, 4),
-        ((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
-    )
-    with pytest.raises(InvariantError):
-        count_scaled_points(liar)
-
-
-def test_grid_budget():
-    with pytest.raises(BudgetExceededError):
-        count_scaled_points(unit_box_counter(Fraction(1, 10**6)))
-
-
-def test_mu_z_table_requires_decreasing_scales():
-    with pytest.raises(PreconditionError):
-        mu_Z_table(unit_box_counter, [Fraction(1, 10), Fraction(1, 10)])
-    with pytest.raises(PreconditionError):
-        mu_Z_table(unit_box_counter, [Fraction(1, 10), Fraction(1, 5)])
-    t = mu_Z_table(unit_box_counter, [Fraction(1, 2), Fraction(1, 4)])
-    assert t.schema == "mu_z"
-    assert t.rows == [(Fraction(1, 2), 4, 1), (Fraction(1, 4), 16, 1)]
 
 
 def test_cone_point_count_pinned():
@@ -135,14 +88,14 @@ def test_spike_demo_table():
         assert row[4] == row[2] and row[5] == row[3]
 
 
+def test_spike_demo_requires_decreasing_scales():
+    with pytest.raises(PreconditionError):
+        spike_demo(3, [Fraction(1, 10), Fraction(1, 10)])
+    with pytest.raises(PreconditionError):
+        spike_demo(3, [Fraction(1, 10), Fraction(1, 5)])
+
+
 def test_spike_demo_budget():
     with pytest.raises(BudgetExceededError):
         spike_line_counts(501, Fraction(1, 10))
 
-
-def test_random_spot_check_is_deterministic():
-    # same seed, same counts, independent of call order
-    a = count_scaled_points(disc_counter(Fraction(1, 3)))
-    random.seed(999)
-    b = count_scaled_points(disc_counter(Fraction(1, 3)))
-    assert a == b

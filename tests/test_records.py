@@ -1,8 +1,8 @@
-"""Record semantics of latvol's four value classes.
+"""Record semantics of latvol's three value classes.
 
-Table and HnfMatrix are plain __slots__ classes, GreedyBasis and
-RegionCounter are NamedTuples.  Each keeps the constructor, repr,
-equality and (im)mutability of the dataclass it replaced.
+Table and HnfMatrix are plain __slots__ classes, GreedyBasis is a
+NamedTuple.  Each keeps the constructor, repr, equality and
+(im)mutability of the dataclass it replaced.
 """
 
 from fractions import Fraction
@@ -12,7 +12,6 @@ import pytest
 from latvol.errors import PreconditionError
 from latvol.hnf import HnfMatrix
 from latvol.lattice import GreedyBasis
-from latvol.measure import RegionCounter
 from latvol.report import Table
 
 
@@ -84,19 +83,3 @@ def test_greedy_basis_record():
         g.vectors = ()
     with pytest.raises(TypeError):
         GreedyBasis(fields[0], fields[1])
-
-
-def test_region_counter_record():
-    def member(p):
-        return False
-
-    box = ((0, 1), (0, 1))
-    c = RegionCounter(2, member, Fraction(1, 4), box)
-    assert c == RegionCounter(dimension=2, membership=member, scale=Fraction(1, 4), box=box)
-    assert c != RegionCounter(2, member, Fraction(1, 5), box)
-    assert repr(c) == (
-        f"RegionCounter(dimension=2, membership={member!r}, "
-        "scale=Fraction(1, 4), box=((0, 1), (0, 1)))"
-    )
-    with pytest.raises(TypeError):
-        RegionCounter(2, member, Fraction(1, 4))

@@ -1,16 +1,18 @@
 """Refusals that the other tests do not reach: each call raises its type."""
 
+import json
+import time
 from fractions import Fraction
 
 import pytest
 
+from latvol import cli
 from latvol.dirichlet import (
     DirichletSeries,
     convolve,
     product_error_scan,
     product_error_table,
     sigma_summatory,
-    summatory,
     volume_constant,
 )
 from latvol.errors import BudgetExceededError, PreconditionError
@@ -18,18 +20,9 @@ from latvol.fundomain import compare_distance, size_sq
 from latvol.hnf import count_with_short_vector, enumerate_hnf, hnf_of
 from latvol.kernels import sigma_cumsum
 from latvol.lattice import LatticeBasis, minbasis_sq
-from latvol.measure import (
-    RegionCounter,
-    count_scaled_points,
-    disc_lattice_count,
-    slope_directions,
-)
+from latvol.measure import disc_lattice_count, slope_directions
 from latvol.padic import gl_count_modp, sl_count_modp, tamagawa_partial
-from latvol.report import format_cell, parse_csv
-
-
-def _inside(p):
-    return True
+from latvol.report import format_cell
 
 
 REFUSALS = {
@@ -47,14 +40,7 @@ REFUSALS = {
     "convolve short prefix": lambda: convolve(
         DirichletSeries.ones(3), DirichletSeries.ones(2), 3
     ),
-    "summatory past prefix": lambda: summatory(DirichletSeries.ones(3), 4),
     "empty series": lambda: DirichletSeries(()),
-    "grid scale 0": lambda: count_scaled_points(
-        RegionCounter(2, _inside, 0, ((0, 1), (0, 1)))
-    ),
-    "grid box width": lambda: count_scaled_points(
-        RegionCounter(2, _inside, Fraction(1, 2), ((0, 1),))
-    ),
     "disc r=0": lambda: disc_lattice_count(0),
     "slope_directions(-1)": lambda: slope_directions(-1),
     "gl method": lambda: gl_count_modp(2, 3, method="guess"),
@@ -63,7 +49,6 @@ REFUSALS = {
     "sl k=0": lambda: sl_count_modp(0, 3),
     "tamagawa_partial(100, 10^4)": lambda: tamagawa_partial(100, 10**4),
     "format_cell complex": lambda: format_cell(1j),
-    "parse_csv empty": lambda: parse_csv(""),
     "size_sq 4x4": lambda: size_sq([[1 if i == j else 0 for j in range(4)] for i in range(4)]),
     "compare_distance 2x2 A, 3x3 gamma": lambda: compare_distance(
         [[2, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]
@@ -82,6 +67,36 @@ OVER_BUDGET = {"tamagawa_partial(100, 10^4)"}
 def test_refusal(name):
     with pytest.raises(BudgetExceededError if name in OVER_BUDGET else PreconditionError):
         REFUSALS[name]()
+
+
+# each cap through the CLI: an argument just inside it finishes, one just
+# past it refuses with its exit code within a second
+CLI_EDGES = {
+    "count k=3 T=10^8": (["count", "--k=3", "--max-index=100000000"], 4),
+    "constant k=100": (["constant", "--k=100"], 0),
+    "constant k=101": (["constant", "--k=101"], 4),
+    "abelian k=100": (["abelian", "--k=100", "--m-max=1"], 0),
+    "abelian k=101": (["abelian", "--k=101"], 4),
+    "abelian m_max=0": (["abelian", "--k=2", "--m-max=0"], 3),
+    "abelian m_max=15": (["abelian", "--k=2", "--m-max=15"], 0),
+    "abelian m_max=16": (["abelian", "--k=2", "--m-max=16"], 3),
+    "abelian m_max=10^9": (["abelian", "--k=2", "--m-max=1000000000"], 3),
+}
+
+
+@pytest.mark.parametrize("name", CLI_EDGES)
+def test_cli_edge(name, capsys):
+    argv, want = CLI_EDGES[name]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == want, err
+    if want:
+        assert elapsed < 1 and out == ""
+        assert json.loads(err)["error"]["exit_code"] == want
+    else:
+        assert err == "" and out
 
 
 def test_minbasis_at_rank_one_is_the_squared_length():

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+import helpers as H
 from latvol.errors import PreconditionError
-from latvol.report import Table, format_cell, parse_csv, render, to_csv, to_json
+from latvol.report import Table, format_cell, render, to_csv, to_json
 
 
 def sample_table():
@@ -35,7 +36,7 @@ def test_csv_round_trip():
     text = to_csv(sample_table())
     lines = text.split("\n")
     assert lines[0] == "n,ratio,value,flag"
-    header, rows = parse_csv(text)
+    header, rows = H.parse_csv(text)
     assert header == ["n", "ratio", "value", "flag"]
     assert rows[0] == ["1", "1/3", "0.5", "true"]
     # exact rationals survive; floats reparse to all printed digits
@@ -76,5 +77,5 @@ def test_csv_quotes_cells_with_commas():
     t = Table("m", ("matrix", "ok"), [("1,0;0,1", True)])
     text = to_csv(t)
     assert '"1,0;0,1"' in text
-    _, rows = parse_csv(text)
+    _, rows = H.parse_csv(text)
     assert rows[0][0] == "1,0;0,1"
