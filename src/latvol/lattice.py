@@ -149,22 +149,19 @@ def _short_vectors(L, bound):
     yield from rec(k - 1, bound * W, 0)
 
 
-def iter_short_coefficient_vectors(L, bound):
+def short_coefficient_vectors(L, bound):
     """Every nonzero integer coefficient vector c with |sum c_i b_i|^2 <= bound.
 
     The listing of `_short_vectors` with the bound floored to row units
-    and each norm returned as a Fraction: both signs of every vector, one
-    at a time, so a caller may stop early.  Yields (coeffs, norm_sq).
+    and each norm returned as a Fraction, both signs of every vector.
+    Returns a list of (coeffs, norm_sq).
     """
     bound = Fraction(bound)
     q2 = L._q**2
-    for c, n in _short_vectors(L, bound.numerator * q2 // bound.denominator):
-        yield c, Fraction(n, q2)
-
-
-def short_coefficient_vectors(L, bound):
-    """The list of `iter_short_coefficient_vectors(L, bound)`."""
-    return list(iter_short_coefficient_vectors(L, bound))
+    return [
+        (c, Fraction(n, q2))
+        for c, n in _short_vectors(L, bound.numerator * q2 // bound.denominator)
+    ]
 
 
 def _combine(coeffs, rows):

@@ -114,13 +114,19 @@ def test_parse_error_exit_2(capsys):
 
 
 def test_precondition_exit_3(capsys):
-    # 1e400 is an exact rational whose float conversion overflows
-    for s in ("1/2", "1e400"):
+    # 1e400 is an exact rational whose float conversion overflows, and
+    # 1 + 10^-32 an s above the pole that float() rounds to 1.0
+    for s, message in (
+        ("1/2", "zeta is evaluated for s > 1 only"),
+        ("1e400", "|s| is too large for a float"),
+        ("1.00000000000000000000000000000001", "s is too close to the pole at 1 for a float"),
+    ):
         code, out, err = run(capsys, "zeta", "--s", s)
         assert code == 3 and out == "", s
         doc = json.loads(err)
         assert doc["error"]["type"] == "PreconditionError"
         assert doc["error"]["exit_code"] == 3
+        assert doc["error"]["message"] == message
 
 
 def test_unwritable_output_exit_3(tmp_path, capsys):

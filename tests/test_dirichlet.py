@@ -57,6 +57,27 @@ def test_riemann_zeta_against_mpmath():
         riemann_zeta(0.5)
 
 
+def test_riemann_zeta_correctly_rounded():
+    # the integers, non-integers past 16, both sides of the s > 54
+    # shortcut, and an s whose rising factorial would overflow
+    points = list(range(2, 101)) + [16.5, 17.25, 53.9, 54, 54.1, 60.5, 1000, 1e300]
+    with mpmath.workprec(300):
+        for s in points:
+            assert riemann_zeta(s) == float(mpmath.zeta(mpmath.mpf(s))), s
+
+
+def test_volume_constant_relative_error():
+    # k - 1 correctly rounded factors, k - 2 products and one division
+    with mpmath.workprec(300):
+        v = mpmath.mpf(1)
+        for k in range(1, 101):
+            if k > 1:
+                v *= mpmath.zeta(k)
+            want = v / k
+            err = abs(mpmath.mpf(volume_constant(k)) - want)
+            assert err <= 2 * k * mpmath.mpf(2) ** -53 * want, k
+
+
 def test_subgroup_zeta_values():
     want = float(mpmath.zeta(3) * mpmath.zeta(2))
     assert abs(subgroup_zeta(2, 3.0) - want) < 1e-12

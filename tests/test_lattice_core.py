@@ -16,7 +16,6 @@ from latvol.lattice import (
     covol_sq,
     dot,
     greedy_basis,
-    iter_short_coefficient_vectors,
     lattice_coefficients,
     minbasis_sq,
     minimal_lift,
@@ -178,7 +177,7 @@ def _listing_cases(draw):
 def test_integer_listing_matches_public_listing(case):
     L, bound = case
     q2 = L._q**2
-    public = list(iter_short_coefficient_vectors(L, bound))
+    public = short_coefficient_vectors(L, bound)
     listed = list(_short_vectors(L, bound.numerator * q2 // bound.denominator))
     assert [c for c, _ in listed] == [c for c, _ in public]
     for (c, n), (_, norm) in zip(listed, public):

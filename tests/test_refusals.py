@@ -81,6 +81,8 @@ CLI_EDGES = {
     "abelian m_max=15": (["abelian", "--k=2", "--m-max=15"], 0),
     "abelian m_max=16": (["abelian", "--k=2", "--m-max=16"], 3),
     "abelian m_max=10^9": (["abelian", "--k=2", "--m-max=1000000000"], 3),
+    "dirichlet-product T=10^11": (["dirichlet-product", "--t-list=100000000000"], 0),
+    "dirichlet-product T=10^11+1": (["dirichlet-product", "--t-list=100000000001"], 4),
 }
 
 
